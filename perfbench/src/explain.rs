@@ -4,8 +4,8 @@
 //! (database, query) operations, then runs seeded update streams closed
 //! loop against services hosting databases of the same corpus live.
 
-use crate::inputs::{imdb_dbs, tpch_dbs, update_stream, Rng};
-use crate::live::{self, ms, Host, UpdateSample};
+use crate::inputs::{imdb_dbs, shuffle, tpch_dbs, update_stream, Rng};
+use crate::live::{self, ms, Host, UpdateLoop, UpdateSample};
 use crate::report::{peak_rss_mb, Layers, Outcome};
 use crate::stats::{mean, median};
 use crate::trace::Tracer;
@@ -19,7 +19,7 @@ use banzhaf_engine::{
 };
 use banzhaf_query::evaluate;
 use banzhaf_workloads::{DatasetSpec, LiveWorkload};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -33,9 +33,14 @@ pub enum Corpus {
     Tpch,
 }
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
-/// Share of `--seconds` spent on reads; the rest goes to updates.
+/// Set-ups before the measured phases; the last is kept. Three more run
+/// between the steps of verification, once the kept instance is gone, and
+/// `setup_s` is the median of all six: load from other tenants of the
+/// machine moves its speed by up to 1.5× over a few seconds, so the set-ups
+/// are spread over the run.
+const SETUPS_BEFORE: usize = 3;
+/// Share of the measured time spent on explains; the rest goes to update
+/// operations.
 const READ_SHARE: f64 = 0.75;
 /// Scale of the IMDB-like databases.
 const IMDB_SCALE: usize = 4;
@@ -49,7 +54,7 @@ const IMDB_DBS: u64 = 4;
 const TPCH_SCALE: usize = 2;
 /// TPC-H-like databases, one per round. They hold about four times as many
 /// lineage shapes as the cache, so a pass over them in any order evicts
-/// every shape before it comes round again.
+/// shapes before they come round again (with 128, 97% of lookups hit).
 const TPCH_DBS: u64 = 256;
 /// Databases hosted live for the update phase. They are generated as if
 /// the run's seed were the corpus generator's default seed, so every run
@@ -57,18 +62,17 @@ const TPCH_DBS: u64 = 256;
 /// (the median moved by half between seeds when they were the run's own),
 /// and the seed still picks the updated facts.
 const LIVE_DBS: u64 = 4;
-/// Passes over the rounds in a run's order (more than a run reaches).
+/// Passes over the rounds in a run's order (more than a run reaches). A
+/// run measures whole passes, so every run explains each round equally
+/// often.
 const PASSES: u64 = 64;
 /// TPC-H-like databases explained by the warm pass only.
 const TPCH_WARM_DBS: u64 = 48;
 
 /// `0..n` in an order shuffled by `seed` and `pass`.
 fn shuffled(n: usize, seed: u64, pass: u64) -> Vec<usize> {
-    let mut rng = Rng::new(seed, 100 + pass);
     let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        order.swap(i, rng.below(i + 1));
-    }
+    shuffle(&mut order, &mut Rng::new(seed, 100 + pass));
     order
 }
 
@@ -163,9 +167,12 @@ fn set_up<'a>(corpus: Corpus, inputs: &'a Inputs) -> (Engine, Session, Vec<Host<
     (engine, session, hosts)
 }
 
-/// What the read phase measured.
+/// The explain operations, closed loop, round after round in the inputs'
+/// order.
 #[derive(Default)]
-struct Reads {
+struct ReadLoop {
+    /// Rounds run so far.
+    rounds: usize,
     /// Each operation with the digest of its output (`None` if it failed).
     executed: Vec<(Op, Option<u64>)>,
     answers: u64,
@@ -173,29 +180,32 @@ struct Reads {
     spent: Duration,
     /// Σ backend wall per operation, ms.
     backend_ms: Vec<f64>,
+    visited: HashSet<usize>,
     replay: Replay,
 }
 
-/// Runs rounds in the inputs' order until `budget` of explain latency has
-/// accumulated, stopping after a whole round.
-fn read_phase(
-    inputs: &Inputs,
-    session: &mut Session,
-    budget: Duration,
-    tracer: &mut Tracer,
-    out: &mut Outcome,
-) -> Reads {
-    let mut reads = Reads::default();
-    let mut replayed = vec![false; inputs.rounds.len()];
-    for &r in inputs.order.iter().cycle() {
-        if reads.spent >= budget {
-            break;
-        }
-        let first_visit = !std::mem::replace(&mut replayed[r], true);
+impl ReadLoop {
+    /// Whether the loop has made whole passes over the rounds, so that it
+    /// has explained each round equally often.
+    fn at_pass_end(&self, inputs: &Inputs) -> bool {
+        self.rounds.is_multiple_of(inputs.rounds.len())
+    }
+
+    /// Runs the next round.
+    fn step(
+        &mut self,
+        inputs: &Inputs,
+        session: &mut Session,
+        tracer: &mut Tracer,
+        out: &mut Outcome,
+    ) {
+        let r = inputs.order[self.rounds % inputs.order.len()];
+        self.rounds += 1;
+        let first_visit = self.visited.insert(r);
         for &op in &inputs.rounds[r] {
             let w = &inputs.dbs[op.db];
             let query = &w.queries[op.query].1;
-            let id = reads.executed.len() as u64;
+            let id = self.executed.len() as u64;
             let start = Instant::now();
             let explained = if tracer.enabled() {
                 traced_explain(session, query, &w.db, tracer, id, start)
@@ -203,10 +213,10 @@ fn read_phase(
                 session.explain(query, &w.db)
             };
             let end = Instant::now();
-            reads.spent += end - start;
+            self.spent += end - start;
             out.reads_ms.push(ms(end - start));
-            reads.answers += explained.answers.len() as u64;
-            reads.backend_ms.push(
+            self.answers += explained.answers.len() as u64;
+            self.backend_ms.push(
                 explained
                     .answers
                     .iter()
@@ -214,59 +224,90 @@ fn read_phase(
                     .map(|a| ms(a.stats.wall))
                     .sum(),
             );
-            reads.executed.push((op, query_digest(&explained)));
-            if tracer.enabled() && first_visit {
-                let lineages: Vec<&Dnf> = explained.answers.iter().map(|a| &a.lineage).collect();
-                reads.replay.run(&lineages, tracer, id);
+            self.executed.push((op, query_digest(&explained)));
+            if tracer.enabled() {
+                if first_visit {
+                    let lineages: Vec<&Dnf> =
+                        explained.answers.iter().map(|a| &a.lineage).collect();
+                    self.replay.canon(&lineages, tracer, id);
+                }
+                self.replay.compute(&computed(&explained), tracer, id);
             }
         }
     }
-    reads
 }
 
 /// Runs an explain workload.
 pub fn run(corpus: Corpus, args: &Args) -> Outcome {
-    let mut out = Outcome::default();
+    let mut out = Outcome::new();
     let mut tracer = Tracer::new(args.trace);
     let inputs = inputs(corpus, args.seed);
+    out.end_phase("inputs");
 
     // Set up several times; the last set-up is kept.
     let mut kept = None;
-    for _ in 0..SETUPS {
+    for _ in 0..SETUPS_BEFORE {
         drop(kept.take());
-        let start = Instant::now();
-        kept = Some(set_up(corpus, &inputs));
-        out.setups_s.push(start.elapsed().as_secs_f64());
+        kept = Some(out.time_set_up(|| set_up(corpus, &inputs)));
     }
     let (engine, mut session, mut hosts) = kept.expect("at least one set-up");
+    out.end_phase("set-ups");
 
     let cache_before = engine.stats().cache;
     let steps_before = session.stats().compile_steps;
-    let budget = Duration::from_secs_f64(args.seconds * READ_SHARE);
-    let reads = read_phase(&inputs, &mut session, budget, &mut tracer, &mut out);
+    // Rounds of explains and update operations interleave, so that both
+    // sample the machine across the whole run: the next step goes to the
+    // side further behind its share of the measured time, and each side
+    // stops at the end of a whole pass once its share is spent.
+    let read_budget = args.seconds * READ_SHARE;
+    let update_budget = args.seconds * (1.0 - READ_SHARE);
+    let mut reads = ReadLoop::default();
+    let mut update_loop = UpdateLoop::default();
+    loop {
+        let read_used = reads.spent.as_secs_f64() / read_budget;
+        let update_used = update_loop.spent.as_secs_f64() / update_budget;
+        let reads_done = read_used >= 1.0 && reads.at_pass_end(&inputs);
+        let updates_done = update_used >= 1.0 && update_loop.at_pass_end(&hosts);
+        if reads_done && updates_done {
+            break;
+        } else if !reads_done && (updates_done || read_used <= update_used) {
+            reads.step(&inputs, &mut session, &mut tracer, &mut out);
+        } else {
+            update_loop.step(&mut hosts, &mut tracer);
+        }
+    }
+    let updates = update_loop.samples;
     out.answers_per_s = reads.answers as f64 / reads.spent.as_secs_f64();
     let cache_after = engine.stats().cache;
     let read_steps = session.stats().compile_steps - steps_before;
-
-    let update_budget = Duration::from_secs_f64(args.seconds * (1.0 - READ_SHARE));
-    let updates = live::closed_loop(&mut hosts, update_budget, &mut tracer);
     out.updates_ms = updates.iter().map(|u| u.latency_ms).collect();
     out.peak_rss_mb = peak_rss_mb();
+    out.end_phase("measured");
 
-    // Verification, outside the timed region.
+    // Verification, outside the timed region, with a set-up before each step.
+    let finals: Vec<_> = hosts
+        .into_iter()
+        .map(|h| (live::live_state(&h.service, h.workload), h.workload, h.applied))
+        .collect();
+    drop((engine, session));
     let ops = reads.executed.len() as u64;
     let failed_updates = updates.iter().filter(|u| !u.ok()).count() as u64;
     out.attempted = ops + updates.len() as u64;
     let mut oracle = Oracle::default();
+    drop(out.time_set_up(|| set_up(corpus, &inputs)));
     let read_mismatches = verify_reads(&inputs.dbs, &reads.executed, &mut oracle);
-    let live_mismatches: u64 =
-        hosts.iter().map(|h| live::check_final_state(&h.service, h.workload, &h.applied)).sum();
+    drop(out.time_set_up(|| set_up(corpus, &inputs)));
+    let live_mismatches: u64 = finals
+        .iter()
+        .map(|(state, workload, applied)| live::check_final_state(state, workload, applied))
+        .sum();
+    drop(out.time_set_up(|| set_up(corpus, &inputs)));
     out.failed = read_mismatches + oracle.bad + failed_updates + live_mismatches;
     out.note(format!(
         "verified {ops} explains against a cacheless recomputation ({read_mismatches} differ), \
          the final live states after {} updates against a cold re-explain ({live_mismatches} \
          answers differ); {}",
-        hosts.iter().map(|h| h.applied.len()).sum::<usize>(),
+        finals.iter().map(|(_, _, applied)| applied.len()).sum::<usize>(),
         oracle.describe()
     ));
     out.note(format!(
@@ -286,12 +327,13 @@ pub fn run(corpus: Corpus, args: &Args) -> Outcome {
         layers.set("engine.backend_ms", mean(&reads.backend_ms));
         layers.set("engine.compile_steps", read_steps as f64 / ops);
         cache_layers(&cache_before, &cache_after, ops, layers);
-        reads.replay.layers(&tracer, layers);
+        reads.replay.layers(&tracer, ops, layers);
         live::layer_metrics(&updates, layers);
         serve_layers(&updates, layers);
         layers.set("trace.p50_ms", median(&out.reads_ms));
         layers.set("trace.update_p50_ms", median(&out.updates_ms));
     }
+    out.end_phase("verified");
     crate::finish_trace(&tracer, args, &mut out);
     out
 }
@@ -322,19 +364,31 @@ fn traced_explain(
     QueryAttribution { answers }
 }
 
-/// Replays the layers below the session on the same lineages, outside the
-/// blocking path: canonical key, pre-key, compile and count, one span per
-/// layer per replayed list of lineages.
+/// The lineages of an explanation the engine attributed itself rather than
+/// serving from its cache.
+fn computed(explained: &QueryAttribution) -> Vec<&Dnf> {
+    explained
+        .answers
+        .iter()
+        .filter(|a| a.attribution().is_some_and(|att| !att.stats.cache_hit))
+        .map(|a| &a.lineage)
+        .collect()
+}
+
+/// Replays the layers below the session outside the blocking path: the
+/// canonical key and pre-key of lineages the engine looked up, and the
+/// compile and count of lineages the engine attributed itself (its cache
+/// misses), so that the replayed compile and count add up to the same work
+/// as the engine's backend wall. One span per layer per replayed list.
 #[derive(Default)]
 pub struct Replay {
-    lists: u64,
-    lineages: u64,
+    keyed: u64,
     nodes: u64,
 }
 
 impl Replay {
-    /// Replays one operation's lineages.
-    pub fn run(&mut self, lineages: &[&Dnf], tracer: &mut Tracer, id: u64) {
+    /// Replays the canonical key and pre-key of `lineages`.
+    pub fn canon(&mut self, lineages: &[&Dnf], tracer: &mut Tracer, id: u64) {
         let t0 = Instant::now();
         for l in lineages {
             black_box(canonical_key_probe(l));
@@ -344,6 +398,17 @@ impl Replay {
             black_box(prekey_probe(l));
         }
         let t2 = Instant::now();
+        tracer.record("replay.canonical_key", id, None, t0, t1);
+        tracer.record("replay.prekey", id, None, t1, t2);
+        self.keyed += lineages.len() as u64;
+    }
+
+    /// Replays the compile and count of `lineages`.
+    pub fn compute(&mut self, lineages: &[&Dnf], tracer: &mut Tracer, id: u64) {
+        if lineages.is_empty() {
+            return;
+        }
+        let t0 = Instant::now();
         let trees: Vec<DTree> = lineages
             .iter()
             .map(|l| {
@@ -355,32 +420,28 @@ impl Replay {
                 .expect("an unlimited budget never interrupts")
             })
             .collect();
-        let t3 = Instant::now();
+        let t1 = Instant::now();
         for tree in &trees {
             let counts = model_counts(tree);
             black_box(exaban_all_with_counts(tree, &counts));
         }
-        let t4 = Instant::now();
-        tracer.record("replay.canonical_key", id, None, t0, t1);
-        tracer.record("replay.prekey", id, None, t1, t2);
-        tracer.record("replay.compile", id, None, t2, t3);
-        tracer.record("replay.count", id, None, t3, t4);
-        self.lists += 1;
-        self.lineages += lineages.len() as u64;
+        let t2 = Instant::now();
+        tracer.record("replay.compile", id, None, t0, t1);
+        tracer.record("replay.count", id, None, t1, t2);
         self.nodes += trees.iter().map(|t| t.num_nodes() as u64).sum::<u64>();
     }
 
-    /// Sets the canon metrics per lineage, and the dtree and core metrics
-    /// per replayed operation.
-    pub fn layers(&self, tracer: &Tracer, layers: &mut Layers) {
+    /// Sets the canon metrics per lineage keyed, and the dtree and core
+    /// metrics per operation, over `ops` operations.
+    pub fn layers(&self, tracer: &Tracer, ops: f64, layers: &mut Layers) {
         let times = tracer.self_times();
         let total = |name| times.get(name).map_or(0.0, |t| t.1);
-        let (lists, lineages) = (self.lists.max(1) as f64, self.lineages.max(1) as f64);
-        layers.set("canon.key_us", total("replay.canonical_key") * 1e3 / lineages);
-        layers.set("canon.prekey_us", total("replay.prekey") * 1e3 / lineages);
-        layers.set("dtree.compile_ms", total("replay.compile") / lists);
-        layers.set("dtree.nodes", self.nodes as f64 / lists);
-        layers.set("core.count_ms", total("replay.count") / lists);
+        let keyed = self.keyed.max(1) as f64;
+        layers.set("canon.key_us", total("replay.canonical_key") * 1e3 / keyed);
+        layers.set("canon.prekey_us", total("replay.prekey") * 1e3 / keyed);
+        layers.set("dtree.compile_ms", total("replay.compile") / ops);
+        layers.set("dtree.nodes", self.nodes as f64 / ops);
+        layers.set("core.count_ms", total("replay.count") / ops);
     }
 }
 
@@ -407,10 +468,11 @@ fn serve_layers(updates: &[UpdateSample], layers: &mut Layers) {
     layers.set("serve.wait_ms", mean(&wait));
     let submit: Vec<f64> = updates.iter().flat_map(|u| u.submit_us.iter().copied()).collect();
     layers.set("serve.submit_us", mean(&submit));
-    // One request in flight at a time: nothing is ever queued behind it.
-    layers.set("serve.queue_depth", 0.0);
+    let depth: Vec<f64> =
+        updates.iter().flat_map(|u| u.queue_depth.iter().map(|&d| d as f64)).collect();
+    layers.set("serve.queue_depth", mean(&depth));
     layers.set("serve.gen_lag_ms", mean(&updates.iter().map(|u| u.lag_ms).collect::<Vec<_>>()));
-    layers.set("serve.rejected", 0.0);
+    layers.set("serve.rejected", updates.iter().map(|u| u.rejected as f64).sum());
 }
 
 /// Mean total duration of the spans called `name`, per operation.

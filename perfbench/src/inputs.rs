@@ -99,25 +99,48 @@ pub fn tpch_dbs(seed: u64, scale: usize, first: u64, count: u64) -> Vec<LiveWork
 }
 
 /// The serve pool: every answer lineage of the three corpora at scale 2
-/// over `seeds` databases each, shuffled by `seed` so that the Zipf ranks
-/// fall on different lineages under different seeds.
-pub fn lineage_pool(seed: u64, seeds: u64) -> Vec<Dnf> {
+/// over `seeds` databases each, in an order shuffled once, so that pool
+/// index is Zipf rank. The pool and its rank order are the same on every
+/// run, generated as if the run's seed were the corpus's default seed: the
+/// lineages' costs are heavy tailed, and with a pool of its own, a run's
+/// tail was decided by which costly lineages its seed made popular.
+pub fn lineage_pool(seeds: u64) -> Vec<Dnf> {
+    let default_seed = DatasetSpec::default().seed;
     let mut pool = Vec::new();
     for k in 0..seeds {
-        let spec = DatasetSpec { scale: 2, seed: db_seed(seed, 5000 + k) };
+        let spec = DatasetSpec { scale: 2, seed: db_seed(default_seed, 5000 + k) };
         for workload in [academic_workload(&spec), imdb_workload(&spec), tpch_workload(&spec)] {
             pool.extend(workload.corpus().instances.into_iter().map(|i| i.lineage));
         }
     }
-    let mut rng = Rng::new(seed, 7);
-    for i in (1..pool.len()).rev() {
-        pool.swap(i, rng.below(i + 1));
-    }
+    shuffle(&mut pool, &mut Rng::new(default_seed, 7));
     pool
 }
 
-/// Facts of a live database that its update stream touches.
-pub const UPDATED_FACTS: usize = 64;
+/// `n` Zipf-drawn ranks over `0..ranks`. The draws are the same on every
+/// run (made from the corpus's default seed); `seed` only orders them, so
+/// every run reads the same lineages the same number of times.
+pub fn zipf_draws(ranks: usize, n: usize, seed: u64) -> Vec<usize> {
+    let zipf = Zipf::new(ranks);
+    let mut rng = Rng::new(DatasetSpec::default().seed, 13);
+    let mut draws: Vec<usize> = (0..n).map(|_| zipf.draw(&mut rng)).collect();
+    shuffle(&mut draws, &mut Rng::new(seed, 13));
+    draws
+}
+
+/// Shuffles `items` in place (Fisher–Yates).
+pub fn shuffle<T>(items: &mut [T], rng: &mut Rng) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.below(i + 1));
+    }
+}
+
+/// Facts of a live database that its update stream touches. The update
+/// tails sit on the few costliest facts; with fewer facts a run makes more
+/// passes, so it measures each of those more often (with 64, the explain
+/// workloads' `update_tail_ms` spread over a fifth of its median between
+/// seeds).
+pub const UPDATED_FACTS: usize = 32;
 
 /// The update stream of a live database: [`UPDATED_FACTS`] facts of its
 /// mutable relations, evenly spaced in fact-id order, in an order shuffled
@@ -135,10 +158,7 @@ pub fn update_stream(workload: &LiveWorkload, seed: u64) -> Vec<Update> {
         .collect();
     let step = (all.len() / UPDATED_FACTS).max(1);
     let mut facts: Vec<_> = all.into_iter().step_by(step).take(UPDATED_FACTS).collect();
-    let mut rng = Rng::new(seed, 11);
-    for i in (1..facts.len()).rev() {
-        facts.swap(i, rng.below(i + 1));
-    }
+    shuffle(&mut facts, &mut Rng::new(seed, 11));
     facts
         .into_iter()
         .flat_map(|(relation, values)| {
@@ -160,6 +180,18 @@ mod tests {
         };
         assert_eq!(draws(1), draws(1));
         assert_ne!(draws(1), draws(2));
+    }
+
+    #[test]
+    fn zipf_draws_are_one_multiset_in_seeded_orders() {
+        let (a, b) = (zipf_draws(1000, 500, 1), zipf_draws(1000, 500, 2));
+        assert_eq!(a, zipf_draws(1000, 500, 1));
+        assert_ne!(a, b);
+        let sorted = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(sorted(a), sorted(b));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::report::Layers;
 use crate::stats::mean;
 use crate::trace::Tracer;
 use crate::verify::{mismatched_answers, reference_engine};
-use banzhaf_engine::{EngineConfig, Update, UpdateReport};
+use banzhaf_engine::{EngineConfig, QueryAttribution, Update, UpdateReport};
 use banzhaf_serve::{AttributionService, RequestOptions, ServeConfig};
 use banzhaf_workloads::LiveWorkload;
 use std::time::{Duration, Instant};
@@ -34,8 +34,13 @@ pub struct UpdateSample {
     pub latency_ms: f64,
     /// Time spent inside each `submit_update` call, µs.
     pub submit_us: Vec<f64>,
-    /// How late the client sent the delete, ms.
+    /// How late the client sent the delete (after the due time in the open
+    /// loop, after it was ready to in a closed loop), ms.
     pub lag_ms: f64,
+    /// The service's queue depth right after each accepted submission.
+    pub queue_depth: Vec<usize>,
+    /// Submissions the service refused.
+    pub rejected: usize,
     /// The reports of the updates that applied.
     pub reports: Vec<UpdateReport>,
 }
@@ -60,33 +65,47 @@ pub struct Host<'a> {
     pub applied: Vec<Update>,
 }
 
-/// Runs the hosts' update streams closed loop (one client, one update in
-/// flight), one delete/re-insert pair per host in turn, until `budget` of
-/// update latency has accumulated.
-pub fn closed_loop(
-    hosts: &mut [Host<'_>],
-    budget: Duration,
-    tracer: &mut Tracer,
-) -> Vec<UpdateSample> {
-    let mut samples = Vec::new();
-    let mut spent = Duration::ZERO;
-    let mut ready = Instant::now();
-    for pair in 0.. {
-        if spent >= budget {
-            break;
-        }
+/// The hosts' update streams, run closed loop (one client, one update in
+/// flight), one delete/re-insert pair per host in turn.
+#[derive(Default)]
+pub struct UpdateLoop {
+    /// The update operations run so far.
+    pub samples: Vec<UpdateSample>,
+    /// The sum of their latencies.
+    pub spent: Duration,
+}
+
+impl UpdateLoop {
+    /// Whether the loop has made whole passes over every host's stream, so
+    /// that it has applied each update equally often: update cost is heavy
+    /// tailed over facts.
+    pub fn at_pass_end(&self, hosts: &[Host<'_>]) -> bool {
+        self.samples.len().is_multiple_of(hosts.len() * (hosts[0].stream.len() / 2))
+    }
+
+    /// Runs the next update operation.
+    pub fn step(&mut self, hosts: &mut [Host<'_>], tracer: &mut Tracer) {
+        let ready = Instant::now();
+        let pair = self.samples.len();
         let n = hosts.len();
         let host = &mut hosts[pair % n];
         let first = (pair / n * 2) % host.stream.len();
-        let op = samples.len() as u64;
+        let op = pair as u64;
         let start = Instant::now();
         let mut submit_us = Vec::new();
+        let mut queue_depth = Vec::new();
+        let mut rejected = 0;
         let mut reports = Vec::new();
         let mut spans = Vec::new();
         for update in &host.stream[first..first + 2] {
             let submit = Instant::now();
             let ticket = host.service.submit_update(update.clone(), RequestOptions::default());
             let submitted = Instant::now();
+            match &ticket {
+                Ok(_) if tracer.enabled() => queue_depth.push(host.service.stats().queue_depth),
+                Ok(_) => {}
+                Err(_) => rejected += 1,
+            }
             let report = ticket.ok().and_then(|t| t.wait().ok());
             let end = Instant::now();
             submit_us.push((submitted - submit).as_secs_f64() * 1e6);
@@ -98,27 +117,35 @@ pub fn closed_loop(
             }
         }
         let end = Instant::now();
-        spent += end - start;
+        self.spent += end - start;
         let root = tracer.record("update", op, None, start, end);
         for (name, from, to) in spans {
             tracer.record(name, op, root, from, to);
         }
-        samples.push(UpdateSample {
+        self.samples.push(UpdateSample {
             latency_ms: ms(end - start),
             submit_us,
             lag_ms: ms(start - ready),
+            queue_depth,
+            rejected,
             reports,
         });
-        ready = end;
     }
-    samples
 }
 
-/// Compares the service's final live attributions with a cold, cacheless
-/// re-explain of the database the applied updates lead to. Returns the
-/// number of answers that differ.
-pub fn check_final_state(
+/// The service's live attribution of every query of `workload`.
+pub fn live_state(
     service: &AttributionService,
+    workload: &LiveWorkload,
+) -> Vec<Option<QueryAttribution>> {
+    workload.queries.iter().map(|(name, _)| service.live_attribution(name)).collect()
+}
+
+/// Compares a service's final live attributions (its [`live_state`]) with a
+/// cold, cacheless re-explain of the database the applied updates lead to.
+/// Returns the number of answers that differ.
+pub fn check_final_state(
+    state: &[Option<QueryAttribution>],
     workload: &LiveWorkload,
     applied: &[Update],
 ) -> u64 {
@@ -132,8 +159,9 @@ pub fn check_final_state(
     workload
         .queries
         .iter()
-        .map(|(name, query)| match service.live_attribution(name) {
-            Some(live) => mismatched_answers(&live, &cold.explain(query, &db)),
+        .zip(state)
+        .map(|((_, query), live)| match live {
+            Some(live) => mismatched_answers(live, &cold.explain(query, &db)),
             None => 1,
         })
         .sum()

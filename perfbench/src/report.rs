@@ -4,6 +4,7 @@
 use crate::stats::{median, summarize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Instant;
 
 /// The end-to-end metrics, in the order `BENCHMARK.json` lists them.
 pub const END_TO_END: &[(&str, &str)] = &[
@@ -84,12 +85,35 @@ pub struct Outcome {
     pub layers: Layers,
     /// Human-readable lines printed before the result line.
     pub notes: Vec<String>,
+    /// Wall time of each phase of the run, s.
+    pub phases: Vec<(&'static str, f64)>,
+    phase_start: Option<Instant>,
 }
 
 impl Outcome {
+    /// An empty outcome whose first phase starts now.
+    pub fn new() -> Self {
+        Outcome { phase_start: Some(Instant::now()), ..Outcome::default() }
+    }
+
+    /// Ends the current phase of the run, called `name`, and starts the next.
+    pub fn end_phase(&mut self, name: &'static str) {
+        let now = Instant::now();
+        let start = self.phase_start.replace(now).unwrap_or(now);
+        self.phases.push((name, (now - start).as_secs_f64()));
+    }
+
     /// Adds a human-readable line.
     pub fn note(&mut self, line: impl Into<String>) {
         self.notes.push(line.into());
+    }
+
+    /// Runs one set-up of the program and records how long it took.
+    pub fn time_set_up<T>(&mut self, set_up: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let kept = set_up();
+        self.setups_s.push(start.elapsed().as_secs_f64());
+        kept
     }
 
     /// The end-to-end metric values; `None` if a latency list is too short
@@ -124,6 +148,9 @@ impl Outcome {
             "setup_s samples: {:?}",
             self.setups_s.iter().map(|s| (s * 1e4).round() / 1e4).collect::<Vec<_>>()
         ));
+        let phases: Vec<String> =
+            self.phases.iter().map(|(name, s)| format!("{name} {s:.2} s")).collect();
+        lines.push(format!("phases: {}", phases.join(", ")));
         let ratio =
             if self.attempted == 0 { 0.0 } else { self.failed as f64 / self.attempted as f64 };
         lines.push(format!("fail_ratio {ratio} ({}/{})", self.failed, self.attempted));

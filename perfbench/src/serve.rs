@@ -4,11 +4,13 @@
 //! with its queries registered. One generator thread sends a fixed,
 //! seeded stream of operations on a fixed schedule: nine in ten submit a
 //! lineage drawn Zipf-skewed from a pool larger than the cache, one in ten
-//! submits an update of the live database. Each operation is timed from when
-//! it was due. A closed-loop phase after it measures the service's capacity.
+//! submits an update of the live database. Every run reads the same
+//! lineages the same number of times; the seed orders the reads and the
+//! updated facts. Each operation is timed from when it was due. A
+//! closed-loop phase after it measures the service's capacity.
 
 use crate::explain::{cache_layers, Replay};
-use crate::inputs::{imdb_dbs, lineage_pool, update_stream, Rng, Zipf};
+use crate::inputs::{imdb_dbs, lineage_pool, update_stream, zipf_draws};
 use crate::live::{self, ms, UpdateSample};
 use crate::report::{peak_rss_mb, Layers, Outcome};
 use crate::stats::{mean, median};
@@ -16,12 +18,13 @@ use crate::trace::Tracer;
 use crate::verify::{digest, reference_engine, Oracle};
 use crate::Args;
 use banzhaf_boolean::Dnf;
-use banzhaf_engine::{Attribution, Update, UpdateReport};
+use banzhaf_engine::{Attribution, BatchOptions, Engine, EngineConfig, Update, UpdateReport};
 use banzhaf_query::delta_groundings;
 use banzhaf_serve::{block_on, join_all, AttributionService, RequestOptions, ServeError, Ticket};
 use banzhaf_workloads::{DatasetSpec, LiveWorkload};
 use std::collections::{HashMap, HashSet};
 use std::future::Future;
+use std::hint::black_box;
 use std::pin::Pin;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -30,8 +33,10 @@ use std::time::{Duration, Instant};
 
 /// Service workers.
 const WORKERS: usize = 2;
-/// Offered load of the open loop, operations per second: about half the
-/// capacity the closed-loop phase measures on a 2-core machine.
+/// Offered load of the open loop, operations per second: about a quarter of
+/// the capacity the closed-loop phase measures on a 2-core machine. Updates
+/// apply one at a time, and at about half the capacity their bursts queued
+/// the reads behind them.
 const RATE_PER_S: f64 = 200.0;
 /// One operation in this many is an update operation: a fact deleted and
 /// inserted again (two `submit_update` calls, due together).
@@ -40,17 +45,18 @@ const UPDATE_EVERY: usize = 10;
 const POOL_SEEDS: u64 = 64;
 /// Most popular pool lineages attributed by the warm pass.
 const WARM_LINEAGES: usize = 512;
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 3;
-/// Share of `--seconds` spent in the open loop; the rest measures the
-/// capacity of the same mix.
+/// Set-ups before the measured phases; the last is kept. Three more run
+/// between the steps of verification, and `setup_s` is the median of all.
+/// A set-up takes a quarter of a second, so more are sampled than on the
+/// explain workloads.
+const SETUPS_BEFORE: usize = 5;
+/// Share of `--seconds` spent in the open loop (rounded up to whole passes
+/// over the update stream); the rest measures the capacity of the same mix.
 const OPEN_SHARE: f64 = 0.75;
 /// Requests kept outstanding while measuring capacity.
 const OUTSTANDING: usize = 8;
 /// Longest wait for an outstanding request once the generator stopped.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(60);
-/// Distinct read lineages replayed in the traced run.
-const REPLAYED_LINEAGES: usize = 2000;
 
 /// Records the instant a request completes: the worker that completes it
 /// wakes this waker.
@@ -115,6 +121,10 @@ struct Client<'a> {
     service: &'a AttributionService,
     pool: &'a [Dnf],
     stream: &'a [Update],
+    /// Pool indices of the reads, in the order they are sent (cycled).
+    reads: &'a [usize],
+    /// Operations sent so far.
+    ops: usize,
     requests: Vec<Request>,
     tx: Sender<(usize, Instant)>,
     rx: Receiver<(usize, Instant)>,
@@ -190,9 +200,14 @@ impl Client<'_> {
         ready
     }
 
-    /// Submits one operation due at `due`: a read of `lineage`, or for
-    /// `None` an update operation, the next delete and its re-insert.
-    fn submit_op(&mut self, lineage: Option<usize>, due: Instant, open_loop: bool) {
+    /// Submits the next operation, due at `due`: one in [`UPDATE_EVERY`] is
+    /// an update operation (the next delete and its re-insert), the others
+    /// read the next lineage of the read order.
+    fn submit_op(&mut self, due: Instant, open_loop: bool) {
+        let i = self.ops;
+        self.ops += 1;
+        let lineage = (i % UPDATE_EVERY != UPDATE_EVERY - 1)
+            .then(|| self.reads[(i - i / UPDATE_EVERY) % self.reads.len()]);
         self.submit(lineage, due, open_loop);
         if lineage.is_none() {
             self.submit(None, due, open_loop);
@@ -240,21 +255,19 @@ impl Client<'_> {
 }
 
 impl Client<'_> {
-    /// The open loop: operation `i` is due at `start + i / rate`. Returns
-    /// once every request it sent has completed (`false` if one never did).
-    fn open_loop(&mut self, zipf: &Zipf, rng: &mut Rng, budget: Duration) -> bool {
+    /// The open loop of `ops` operations: operation `i` is due at
+    /// `start + i / rate`. Returns once every request it sent has completed
+    /// (`false` if one never did).
+    fn open_loop(&mut self, ops: u32) -> bool {
         let interval = Duration::from_secs_f64(1.0 / RATE_PER_S);
         let start = Instant::now();
-        for i in 0u32.. {
+        for i in 0..ops {
             let due = start + interval * i;
-            if due - start >= budget {
-                break;
-            }
             let now = Instant::now();
             if due > now {
                 std::thread::sleep(due - now);
             }
-            self.submit_op(next_op(zipf, rng, i as usize), due, true);
+            self.submit_op(due, true);
             self.poll_done();
         }
         self.drain()
@@ -262,15 +275,13 @@ impl Client<'_> {
 
     /// The capacity phase: the same mix, closed loop with [`OUTSTANDING`]
     /// requests outstanding. Returns the reads it completed per second.
-    fn capacity(&mut self, zipf: &Zipf, rng: &mut Rng, budget: Duration) -> f64 {
+    fn capacity(&mut self, budget: Duration) -> f64 {
         let first = self.requests.len();
         let start = Instant::now();
         let mut last = start;
-        let mut op = 0;
         while start.elapsed() < budget || self.outstanding > 0 {
             if start.elapsed() < budget && self.outstanding < OUTSTANDING {
-                self.submit_op(next_op(zipf, rng, op), Instant::now(), false);
-                op += 1;
+                self.submit_op(Instant::now(), false);
                 continue;
             }
             if !self.complete_one(DRAIN_TIMEOUT) {
@@ -288,25 +299,33 @@ impl Client<'_> {
 
 /// Runs `serve_mixed`.
 pub fn run(args: &Args) -> Outcome {
-    let mut out = Outcome::default();
+    let mut out = Outcome::new();
     let mut tracer = Tracer::new(args.trace);
     // Inputs.
-    let pool = lineage_pool(args.seed, POOL_SEEDS);
-    let zipf = Zipf::new(pool.len());
+    let pool = lineage_pool(POOL_SEEDS);
     // One database decides the cost of every update, and that cost varies
     // tenfold between generated databases, so every run hosts the database
-    // generated as if its seed were the corpus's default; the seed drives
-    // the pool, the draws and the updated facts.
+    // generated as if its seed were the corpus's default; the seed orders
+    // the updated facts.
     let live_db = imdb_dbs(DatasetSpec::default().seed, 4, 1).remove(0);
     let stream = update_stream(&live_db, args.seed);
+    // The open loop runs for about `OPEN_SHARE` of `--seconds`, rounded up
+    // to whole passes over the update stream: update cost is heavy tailed
+    // over facts, and the read tail is set by the reads queued behind the
+    // costliest updates, so every run applies each update equally often.
+    let ops_per_pass = UPDATE_EVERY * stream.len() / 2;
+    let passes = (args.seconds * OPEN_SHARE * RATE_PER_S / ops_per_pass as f64).ceil().max(1.0);
+    let open_ops = passes as usize * ops_per_pass;
+    // The reads of the open loop; the capacity phase cycles through them
+    // again.
+    let reads = zipf_draws(pool.len(), open_ops - open_ops / UPDATE_EVERY, args.seed);
     let warm: Vec<Dnf> = pool[..WARM_LINEAGES.min(pool.len())].to_vec();
 
+    out.end_phase("inputs");
     // Set-up: service start with the live queries registered, then the warm
-    // pass over the most popular lineages. Repeated; the last is kept.
-    let mut kept = None;
-    for _ in 0..SETUPS {
-        drop(kept.take());
-        let start = Instant::now();
+    // pass over the most popular lineages. Repeated before the measured
+    // phases (the last is kept) and between the steps of verification.
+    let set_up = || {
         let service = live::start_service(&live_db, WORKERS);
         let tickets: Vec<_> = warm
             .iter()
@@ -314,16 +333,23 @@ pub fn run(args: &Args) -> Outcome {
             .collect();
         let warmed = block_on(join_all(tickets));
         assert!(warmed.iter().all(Result::is_ok), "warm pass failed");
-        out.setups_s.push(start.elapsed().as_secs_f64());
-        kept = Some(service);
+        service
+    };
+    let mut kept = None;
+    for _ in 0..SETUPS_BEFORE {
+        drop(kept.take());
+        kept = Some(out.time_set_up(set_up));
     }
     let service = kept.expect("at least one set-up");
+    out.end_phase("set-ups");
 
     let (tx, rx) = channel();
     let mut client = Client {
         service: &service,
         pool: &pool,
         stream: &stream,
+        reads: &reads,
+        ops: 0,
         requests: Vec::new(),
         tx,
         rx,
@@ -331,18 +357,20 @@ pub fn run(args: &Args) -> Outcome {
         updates_sent: 0,
         sample_depth: tracer.enabled(),
     };
-    let mut rng = Rng::new(args.seed, 13);
     let cache_before = service.engine_stats().cache;
-    let drained =
-        client.open_loop(&zipf, &mut rng, Duration::from_secs_f64(args.seconds * OPEN_SHARE));
+    let drained = client.open_loop(open_ops as u32);
     let cache_after = service.engine_stats().cache;
     if drained {
         let budget = Duration::from_secs_f64(args.seconds * (1.0 - OPEN_SHARE));
-        out.answers_per_s = client.capacity(&zipf, &mut rng, budget);
+        out.answers_per_s = client.capacity(budget);
     }
     out.peak_rss_mb = peak_rss_mb();
-
+    out.end_phase("measured");
     let requests = std::mem::take(&mut client.requests);
+    drop(client);
+    let final_state = live::live_state(&service, &live_db);
+    service.shutdown();
+
     let open: Vec<&Request> = requests.iter().filter(|r| r.open_loop).collect();
     out.reads_ms = open.iter().filter(|r| r.lineage.is_some()).map(|r| r.latency_ms()).collect();
     // Update requests come in (delete, re-insert) pairs due together.
@@ -354,6 +382,8 @@ pub fn run(args: &Args) -> Outcome {
             latency_ms: pair[1].latency_ms(),
             submit_us: pair.iter().map(|r| r.submit_us()).collect(),
             lag_ms: pair[0].lag_ms(),
+            queue_depth: pair.iter().map(|r| r.queue_depth).collect(),
+            rejected: pair.iter().filter(|r| r.refused()).count(),
             reports: pair.iter().filter_map(|r| r.report.clone().and_then(Result::ok)).collect(),
         })
         .collect();
@@ -366,15 +396,18 @@ pub fn run(args: &Args) -> Outcome {
         lags.iter().copied().fold(0.0, f64::max)
     ));
 
-    // Verification, outside the timed region.
+    // Verification, outside the timed region, with a set-up before each step.
     let applied: Vec<Update> = requests
         .iter()
         .filter(|r| r.lineage.is_none() && matches!(r.report, Some(Ok(_))))
         .map(|r| stream[r.update % stream.len()].clone())
         .collect();
     let mut oracle = Oracle::default();
+    out.time_set_up(set_up).shutdown();
     let read_mismatches = verify_reads(&pool, &requests, &mut oracle);
-    let live_mismatches = live::check_final_state(&service, &live_db, &applied);
+    out.time_set_up(set_up).shutdown();
+    let live_mismatches = live::check_final_state(&final_state, &live_db, &applied);
+    out.time_set_up(set_up).shutdown();
     let failed_ops = requests
         .iter()
         .filter(|r| {
@@ -407,9 +440,8 @@ pub fn run(args: &Args) -> Outcome {
         layers.set("trace.p50_ms", median(&out.reads_ms));
         layers.set("trace.update_p50_ms", median(&out.updates_ms));
     }
+    out.end_phase("verified");
     crate::finish_trace(&tracer, args, &mut out);
-    drop(client);
-    service.shutdown();
     out
 }
 
@@ -417,21 +449,23 @@ pub fn run(args: &Args) -> Outcome {
 fn request_layers(open: &[&Request], pool: &[Dnf], tracer: &mut Tracer, layers: &mut Layers) {
     let reads: Vec<(&Request, &Attribution)> =
         open.iter().filter_map(|r| Some((*r, r.read.as_ref()?.as_ref().ok()?))).collect();
-    // The service reports only the engine's backend wall per request.
+    layers.set("engine.batch_ms", replay_session(&reads, pool, tracer));
     let wall: Vec<f64> = reads.iter().map(|(_, a)| ms(a.stats.wall)).collect();
-    layers.set("engine.batch_ms", mean(&wall));
     layers.set("engine.backend_ms", mean(&wall));
     let steps: Vec<f64> = reads.iter().map(|(_, a)| a.stats.compile_steps as f64).collect();
     layers.set("engine.compile_steps", mean(&steps));
     let mut replay = Replay::default();
     let mut seen = HashSet::new();
-    for (i, (r, _)) in reads.iter().enumerate() {
-        let l = r.lineage.expect("reads have a lineage");
-        if seen.len() < REPLAYED_LINEAGES && seen.insert(l) {
-            replay.run(&[&pool[l]], tracer, i as u64);
+    for (i, (r, a)) in reads.iter().enumerate() {
+        let lineage = &pool[r.lineage.expect("reads have a lineage")];
+        if seen.insert(r.lineage) {
+            replay.canon(&[lineage], tracer, i as u64);
+        }
+        if !a.stats.cache_hit {
+            replay.compute(&[lineage], tracer, i as u64);
         }
     }
-    replay.layers(tracer, layers);
+    replay.layers(tracer, reads.len().max(1) as f64, layers);
     let wait: Vec<f64> = reads.iter().map(|(r, a)| r.latency_ms() - ms(a.stats.wall)).collect();
     layers.set("serve.wait_ms", mean(&wait));
     layers.set("serve.submit_us", mean(&open.iter().map(|r| r.submit_us()).collect::<Vec<_>>()));
@@ -441,10 +475,23 @@ fn request_layers(open: &[&Request], pool: &[Dnf], tracer: &mut Tracer, layers: 
     layers.set("serve.rejected", rejected as f64);
 }
 
-/// Operation `i` of the stream: a read of a Zipf-drawn pool lineage, or
-/// (`None`) an update operation, one in [`UPDATE_EVERY`].
-fn next_op(zipf: &Zipf, rng: &mut Rng, i: usize) -> Option<usize> {
-    (i % UPDATE_EVERY != UPDATE_EVERY - 1).then(|| zipf.draw(rng))
+/// The service reports only the backend wall of a request, not the
+/// session's: this replays the reads in order, one `Session::attribute_batch`
+/// call each, on a fresh engine of the service's configuration, and returns
+/// the mean wall per call, ms.
+fn replay_session(reads: &[(&Request, &Attribution)], pool: &[Dnf], tracer: &mut Tracer) -> f64 {
+    let engine = Engine::new(EngineConfig::default());
+    let mut session = engine.session();
+    let mut wall = Vec::with_capacity(reads.len());
+    for (i, (r, _)) in reads.iter().enumerate() {
+        let lineage = &pool[r.lineage.expect("reads have a lineage")];
+        let start = Instant::now();
+        black_box(session.attribute_batch(&[lineage], BatchOptions::default()));
+        let end = Instant::now();
+        tracer.record("replay.attribute_batch", i as u64, None, start, end);
+        wall.push(ms(end - start));
+    }
+    mean(&wall)
 }
 
 /// Compares every read with a cacheless recomputation of its lineage, and
