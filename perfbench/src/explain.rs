@@ -42,8 +42,12 @@ const SETUPS_BEFORE: usize = 3;
 /// Share of the measured time spent on explains; the rest goes to update
 /// operations.
 const READ_SHARE: f64 = 0.75;
-/// Scale of the IMDB-like databases.
-const IMDB_SCALE: usize = 4;
+/// Scale of the IMDB-like databases. At scale 4 query evaluation outgrows
+/// the CPU caches and its speed moves with the machine's load: runs of
+/// identical work made alternately at scales 4 and 2 read `p50_ms` 32–54 ms
+/// at scale 4 (spread 0.41 over five runs) and 14.0–15.8 ms at scale 2
+/// (0.07).
+const IMDB_SCALE: usize = 2;
 /// IMDB-like databases, all explained in every round.
 const IMDB_DBS: u64 = 4;
 /// Scale of the TPC-H-like databases. Explain cost per database is heavy
@@ -65,7 +69,7 @@ const LIVE_DBS: u64 = 4;
 /// Passes over the rounds in a run's order (more than a run reaches). A
 /// run measures whole passes, so every run explains each round equally
 /// often.
-const PASSES: u64 = 64;
+const PASSES: u64 = 256;
 /// TPC-H-like databases explained by the warm pass only.
 const TPCH_WARM_DBS: u64 = 48;
 
@@ -115,20 +119,32 @@ fn inputs(corpus: Corpus, seed: u64) -> Inputs {
         ),
     };
     let rounds: Vec<Vec<Op>> = match corpus {
-        // One round explains every query of every database, in an order the
-        // seed shuffles.
-        Corpus::Imdb => {
-            let ops: Vec<Op> = (0..dbs.len())
-                .flat_map(|db| (0..dbs[db].queries.len()).map(move |query| Op { db, query }))
-                .collect();
-            vec![shuffled(ops.len(), seed, 0).into_iter().map(|i| ops[i]).collect()]
-        }
+        // One round explains one query of one database, so every pass runs
+        // the operations in an order of its own. With one order for the
+        // whole run, each operation always followed the same one and met
+        // its footprint in the CPU caches, so the seed's order could move
+        // an operation for the whole run: on six seeds the latency of the
+        // median's query spread 0.17 while the throughput spread 0.04.
+        Corpus::Imdb => (0..dbs.len())
+            .flat_map(|db| (0..dbs[db].queries.len()).map(move |query| vec![Op { db, query }]))
+            .collect(),
         // One round explains every query of one database.
         Corpus::Tpch => (0..dbs.len())
             .map(|db| (0..dbs[db].queries.len()).map(|query| Op { db, query }).collect())
             .collect(),
     };
-    let order = (0..PASSES).flat_map(|pass| shuffled(rounds.len(), seed, pass)).collect();
+    let order = (0..PASSES)
+        .flat_map(|pass| match corpus {
+            Corpus::Imdb => shuffled(rounds.len(), seed, pass),
+            // Every pass in the same order, so a database comes round again
+            // a whole pass later, when its large lineages have left the
+            // cache: each visit of the costliest databases misses. In orders
+            // of their own, some visits came round within a few rounds and
+            // hit, and how many of the costliest explains missed decided
+            // `tail_ms` (105 or 129 ms on two seeds).
+            Corpus::Tpch => shuffled(rounds.len(), seed, 0),
+        })
+        .collect();
     let live_dbs = match corpus {
         Corpus::Imdb => imdb_dbs(default_seed, IMDB_SCALE, LIVE_DBS),
         Corpus::Tpch => tpch_dbs(default_seed, TPCH_SCALE, 0, LIVE_DBS),
@@ -137,15 +153,17 @@ fn inputs(corpus: Corpus, seed: u64) -> Inputs {
     Inputs { dbs, warm_dbs, rounds, order, live_dbs, streams }
 }
 
-/// The program's set-up: engine start, the warm pass (every operation of
-/// the first round for IMDB-like databases, the warm-only databases for
-/// TPC-H-like ones), and the services hosting the live databases with their
-/// queries registered.
+/// The program's set-up: engine start, the warm pass (every operation once
+/// for IMDB-like databases, the warm-only databases for TPC-H-like ones),
+/// and the services hosting the live databases with their queries
+/// registered.
 fn set_up<'a>(corpus: Corpus, inputs: &'a Inputs) -> (Engine, Session, Vec<Host<'a>>) {
     let engine = Engine::new(EngineConfig::default());
     let mut session = engine.session();
     let warm: Vec<(&LiveWorkload, usize)> = match corpus {
-        Corpus::Imdb => inputs.rounds[0].iter().map(|op| (&inputs.dbs[op.db], op.query)).collect(),
+        Corpus::Imdb => {
+            inputs.rounds.iter().flatten().map(|op| (&inputs.dbs[op.db], op.query)).collect()
+        }
         Corpus::Tpch => {
             inputs.warm_dbs.iter().flat_map(|w| (0..w.queries.len()).map(move |q| (w, q))).collect()
         }

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 /// Service workers.
 const WORKERS: usize = 2;
-/// Offered load of the open loop, operations per second: about a quarter of
+/// Offered load of the open loop, operations per second: about a seventh of
 /// the capacity the closed-loop phase measures on a 2-core machine. Updates
 /// apply one at a time, and at about half the capacity their bursts queued
 /// the reads behind them.
@@ -41,15 +41,23 @@ const RATE_PER_S: f64 = 200.0;
 /// One operation in this many is an update operation: a fact deleted and
 /// inserted again (two `submit_update` calls, due together).
 const UPDATE_EVERY: usize = 10;
+/// Scale of the live IMDB-like database. At scale 4 an update took 6 ms
+/// at the median and 50–60 ms in the tail, and the reads queued behind the
+/// costliest updates set the read tail: on five seeds run alternately at
+/// both scales, the spread of `p50_ms` was 0.18 at scale 4 and 0.10 at
+/// scale 2, and that of `update_tail_ms` 0.09 and 0.05.
+const LIVE_SCALE: usize = 2;
 /// Databases per corpus in the lineage pool.
 const POOL_SEEDS: u64 = 64;
 /// Most popular pool lineages attributed by the warm pass.
 const WARM_LINEAGES: usize = 512;
-/// Set-ups before the measured phases; the last is kept. Three more run
-/// between the steps of verification, and `setup_s` is the median of all.
-/// A set-up takes a quarter of a second, so more are sampled than on the
-/// explain workloads.
-const SETUPS_BEFORE: usize = 5;
+/// Set-ups before the measured phases; the last is kept. As many more run
+/// between the steps of verification, a third before each, and `setup_s`
+/// is the median of all. A set-up takes about 0.1 s, within one stretch of
+/// the machine's speed, so more are sampled than on the explain workloads:
+/// with eight (five before), the median moved by 19% between two sets of
+/// ten runs.
+const SETUPS_BEFORE: usize = 9;
 /// Share of `--seconds` spent in the open loop (rounded up to whole passes
 /// over the update stream); the rest measures the capacity of the same mix.
 const OPEN_SHARE: f64 = 0.75;
@@ -256,13 +264,18 @@ impl Client<'_> {
 
 impl Client<'_> {
     /// The open loop of `ops` operations: operation `i` is due at
-    /// `start + i / rate`. Returns once every request it sent has completed
-    /// (`false` if one never did).
+    /// `start + i / rate`, except that the read after an update operation
+    /// is due with it and queues right behind it. The read tail is then the
+    /// wait for a whole update; due one interval later, a read waited for
+    /// what was left of the update, its wall less 5 ms, and a change of a
+    /// third in a 13 ms update moved the tail by half. Returns once every
+    /// request it sent has completed (`false` if one never did).
     fn open_loop(&mut self, ops: u32) -> bool {
         let interval = Duration::from_secs_f64(1.0 / RATE_PER_S);
         let start = Instant::now();
         for i in 0..ops {
-            let due = start + interval * i;
+            let after_update = i > 0 && (i as usize).is_multiple_of(UPDATE_EVERY);
+            let due = start + interval * if after_update { i - 1 } else { i };
             let now = Instant::now();
             if due > now {
                 std::thread::sleep(due - now);
@@ -307,7 +320,7 @@ pub fn run(args: &Args) -> Outcome {
     // tenfold between generated databases, so every run hosts the database
     // generated as if its seed were the corpus's default; the seed orders
     // the updated facts.
-    let live_db = imdb_dbs(DatasetSpec::default().seed, 4, 1).remove(0);
+    let live_db = imdb_dbs(DatasetSpec::default().seed, LIVE_SCALE, 1).remove(0);
     let stream = update_stream(&live_db, args.seed);
     // The open loop runs for about `OPEN_SHARE` of `--seconds`, rounded up
     // to whole passes over the update stream: update cost is heavy tailed
@@ -403,11 +416,16 @@ pub fn run(args: &Args) -> Outcome {
         .map(|r| stream[r.update % stream.len()].clone())
         .collect();
     let mut oracle = Oracle::default();
-    out.time_set_up(set_up).shutdown();
+    let set_ups = |out: &mut Outcome| {
+        for _ in 0..SETUPS_BEFORE / 3 {
+            out.time_set_up(set_up).shutdown();
+        }
+    };
+    set_ups(&mut out);
     let read_mismatches = verify_reads(&pool, &requests, &mut oracle);
-    out.time_set_up(set_up).shutdown();
+    set_ups(&mut out);
     let live_mismatches = live::check_final_state(&final_state, &live_db, &applied);
-    out.time_set_up(set_up).shutdown();
+    set_ups(&mut out);
     let failed_ops = requests
         .iter()
         .filter(|r| {
