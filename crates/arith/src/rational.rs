@@ -2,15 +2,11 @@
 //!
 //! Aggregate attribution works with clause weights and Banzhaf values that are
 //! signed and fractional (MIN attribution can be negative even for positive
-//! weights, and expected aggregates divide by `2^n`). The existing [`Ratio`]
-//! type is unsigned, is *not* reduced to lowest terms, and deliberately has no
-//! `Hash` — fine for ε-threshold comparisons, unusable as a cache-key
-//! component. [`Rational`] fills that gap: every value is kept normalized
-//! (`gcd(|numer|, denom) = 1`, `denom ≥ 1`, zero is `0/1`), so the derived
-//! `PartialEq`/`Eq`/`Hash` are structural and two equal values always hash
-//! alike.
-//!
-//! [`Ratio`]: crate::Ratio
+//! weights, and expected aggregates divide by `2^n`), and the approximate
+//! algorithms take their relative error ε as one. Every value is kept
+//! normalized (`gcd(|numer|, denom) = 1`, `denom ≥ 1`, zero is `0/1`), so the
+//! derived `PartialEq`/`Eq`/`Hash` are structural and two equal values always
+//! hash alike, which lets a rational be part of a cache key.
 
 use crate::{Int, Natural};
 use std::cmp::Ordering;
@@ -66,6 +62,23 @@ impl Rational {
     /// An integer as a rational.
     pub fn from_int(numer: Int) -> Self {
         Rational { numer, denom: Natural::one() }
+    }
+
+    /// Parses a non-negative decimal like `0.1` or `0.05` exactly.
+    ///
+    /// Accepts strings of the form `I`, `I.F`, or `.F` where `I` and `F` are
+    /// decimal digit strings. Returns `None` on malformed input.
+    pub fn from_decimal_str(s: &str) -> Option<Self> {
+        let (int_part, frac_part) = s.split_once('.').unwrap_or((s, ""));
+        if int_part.is_empty() && frac_part.is_empty() {
+            return None;
+        }
+        let int_n = Natural::from_decimal(if int_part.is_empty() { "0" } else { int_part })?;
+        let frac_n =
+            if frac_part.is_empty() { Natural::zero() } else { Natural::from_decimal(frac_part)? };
+        let denom = Natural::from(10u64).pow(u32::try_from(frac_part.len()).ok()?);
+        let numer = &int_n.mul_ref(&denom) + &frac_n;
+        Some(Rational::new(Int::from(numer), denom))
     }
 
     /// The numerator (signed, in lowest terms).
@@ -283,6 +296,25 @@ mod tests {
                 assert_eq!(a.partial_cmp(&b), a.to_f64().partial_cmp(&b.to_f64()), "{a} vs {b}");
             }
         }
+    }
+
+    #[test]
+    fn decimal_parsing() {
+        let parse = |s: &str| Rational::from_decimal_str(s);
+        assert_eq!(parse("0.1"), Some(rat(1, 10)));
+        assert_eq!(parse("2.5"), Some(rat(25, 10)));
+        assert_eq!(parse(".25"), Some(rat(25, 100)));
+        assert_eq!(parse("3"), Some(rat(3, 1)));
+        assert_eq!(parse(""), None);
+        assert_eq!(parse("a.b"), None);
+    }
+
+    #[test]
+    fn ordering() {
+        assert!(rat(1, 3) < rat(1, 2));
+        assert!(rat(2, 4) == rat(1, 2));
+        assert!(rat(7, 3) > Rational::one());
+        assert!(Rational::zero() < rat(1, 1_000_000));
     }
 
     #[test]

@@ -276,7 +276,7 @@ fn check_update_stream(gate: &mut Gate, baseline: &Json, update: &Json, update_p
 }
 
 /// The warm-start persistence checks (`--persist`): bit-identity of the
-/// warm-started (and sharded) replays against the cold run, real savings
+/// warm-started replay against the cold run, real savings
 /// from the snapshot, no rejected loads, and the steps-saved ratio against
 /// the baseline floor. The stream is seeded, so every number is
 /// deterministic and gated with zero tolerance.
@@ -284,7 +284,7 @@ fn check_persist(gate: &mut Gate, baseline: &Json, persist: &Json, persist_path:
     gate.check(
         bool_at(persist, "bit_identical", persist_path),
         "persist.bit_identical",
-        "warm-started and sharded replays must match the cold run bit for bit".to_owned(),
+        "the warm-started replay must match the cold run bit for bit".to_owned(),
     );
     let steps_saved = f64_at(persist, &["steps_saved"], persist_path);
     gate.check(

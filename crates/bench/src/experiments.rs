@@ -1532,18 +1532,15 @@ pub fn degrade_under_pressure(config: &HarnessConfig) -> String {
 /// the cache, replay the stream in a **fresh** engine warm-started from the
 /// snapshot, and score the compile steps and wall clock the snapshot saved.
 ///
-/// Three runs over the identical `canon_request_stream`:
+/// Two runs over the identical `canon_request_stream`:
 ///
 /// * a **cold** engine — compiles every distinct shape once; its cache is
 ///   then written to disk via `Engine::save_cache`;
 /// * a **warm-started** fresh engine (`CacheConfig::warm_start`) — every
 ///   shape in the stream must be served from the loaded snapshot, values
-///   transferring through the persisted canonical witnesses;
-/// * a warm-started **sharded** engine (2 shards) — the same snapshot
-///   re-routed across shards at load, proving snapshots are shard-count
-///   independent.
+///   transferring through the persisted canonical witnesses.
 ///
-/// All three value streams must be bit-identical. Emits `BENCH_persist.json`
+/// Both value streams must be bit-identical. Emits `BENCH_persist.json`
 /// for the CI `bench-regression` gate (`bench_gate --persist`), which
 /// requires `bit_identical`, nonzero savings, and the steps-saved floor from
 /// `BENCH_baseline.json`.
@@ -1573,7 +1570,7 @@ pub fn warm_start(config: &HarnessConfig) -> String {
     let warm_config = banzhaf_engine::CacheConfig::new().with_warm_start(&snapshot_path);
     let warm_wall = Instant::now();
     let warm_engine = Engine::new(
-        EngineConfig::new(Algorithm::ExaBan).with_cache_config(warm_config.clone()).with_threads(1),
+        EngineConfig::new(Algorithm::ExaBan).with_cache_config(warm_config).with_threads(1),
     );
     let mut warm_session = warm_engine.session();
     let warm = exact_value_stream(&mut warm_session, &lineages);
@@ -1581,20 +1578,9 @@ pub fn warm_start(config: &HarnessConfig) -> String {
     let warm_compile_steps = warm_session.stats().compile_steps;
     let warm_stats = warm_engine.stats().cache;
 
-    // Sharded warm replay: the same snapshot re-routed across 2 shards.
-    let sharded_engine = Engine::new(
-        EngineConfig::new(Algorithm::ExaBan)
-            .with_cache_config(warm_config.with_shards(2))
-            .with_threads(1),
-    );
-    let mut sharded_session = sharded_engine.session();
-    let sharded = exact_value_stream(&mut sharded_session, &lineages);
-    let sharded_compile_steps = sharded_session.stats().compile_steps;
-    let sharded_snapshot = sharded_engine.stats();
-
     let _ = std::fs::remove_file(&snapshot_path);
 
-    let bit_identical = warm == cold && sharded == cold;
+    let bit_identical = warm == cold;
     let steps_saved = cold_compile_steps.saturating_sub(warm_compile_steps);
     let steps_saved_ratio =
         if cold_compile_steps > 0 { steps_saved as f64 / cold_compile_steps as f64 } else { 0.0 };
@@ -1620,20 +1606,12 @@ pub fn warm_start(config: &HarnessConfig) -> String {
         warm_stats.snapshot_entries.to_string(),
         format!("{:.1} ms", warm_wall.as_secs_f64() * 1e3),
     ]);
-    table.push_row([
-        format!("warm-started, {} shards", sharded_snapshot.shards.len()),
-        sharded_compile_steps.to_string(),
-        sharded_snapshot.cache.hits.to_string(),
-        sharded_snapshot.cache.snapshot_entries.to_string(),
-        "—".to_owned(),
-    ]);
 
     let json = format!(
         "{{\n  \"experiment\": \"warm_start\",\n  \"algorithm\": \"ExaBan\",\n  \
          \"requests\": {requests},\n  \"shapes\": {shapes},\n  \
          \"cold_compile_steps\": {cold_compile_steps},\n  \
          \"warm_compile_steps\": {warm_compile_steps},\n  \
-         \"sharded_compile_steps\": {sharded_compile_steps},\n  \
          \"steps_saved\": {steps_saved},\n  \
          \"steps_saved_ratio\": {steps_saved_ratio:.4},\n  \
          \"cold_wall_ms\": {:.3},\n  \"warm_wall_ms\": {:.3},\n  \
@@ -1641,14 +1619,13 @@ pub fn warm_start(config: &HarnessConfig) -> String {
          \"snapshot_entries\": {snapshot_entries},\n  \
          \"snapshot_bytes\": {snapshot_bytes},\n  \
          \"snapshot_loads\": {},\n  \"snapshot_rejects\": {},\n  \
-         \"warm_hits\": {},\n  \"shards\": {},\n  \
+         \"warm_hits\": {},\n  \
          \"bit_identical\": {bit_identical}\n}}\n",
         cold_wall.as_secs_f64() * 1e3,
         warm_wall.as_secs_f64() * 1e3,
         warm_stats.snapshot_loads,
         warm_stats.snapshot_rejects,
         warm_stats.hits,
-        sharded_snapshot.shards.len(),
     );
     let json_note = match std::fs::write("BENCH_persist.json", &json) {
         Ok(()) => "recorded to BENCH_persist.json".to_owned(),
@@ -1955,7 +1932,6 @@ mod tests {
         // Every request of the replayed stream is served from the snapshot:
         // the warm engine compiles nothing at all.
         assert_eq!(parsed.get("warm_compile_steps").unwrap().as_f64(), Some(0.0), "{json}");
-        assert_eq!(parsed.get("sharded_compile_steps").unwrap().as_f64(), Some(0.0), "{json}");
         assert_eq!(parsed.get("steps_saved_ratio").unwrap().as_f64(), Some(1.0), "{json}");
         assert_eq!(parsed.get("snapshot_rejects").unwrap().as_f64(), Some(0.0), "{json}");
         let requests = parsed.get("requests").unwrap().as_f64().unwrap();

@@ -20,7 +20,7 @@
 //! 4. the tighter leaf bound based on `#φ − 2·#φ[x:=0]` (`use_opt4`).
 
 use crate::bounds::bounds_for_var;
-use banzhaf_arith::{Natural, Ratio};
+use banzhaf_arith::{Natural, Rational};
 use banzhaf_boolean::Var;
 use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 
@@ -29,7 +29,7 @@ use banzhaf_dtree::{Budget, DTree, Interrupted, PivotHeuristic};
 pub struct AdaBanOptions {
     /// Relative error ε ∈ [0, 1]. With ε = 0 AdaBan degenerates to exact
     /// computation (it keeps expanding until lower and upper bounds meet).
-    pub epsilon: Ratio,
+    pub epsilon: Rational,
     /// Shannon pivot-selection heuristic used for leaf expansion.
     pub heuristic: PivotHeuristic,
     /// Use the tighter leaf bounds of optimization (4).
@@ -42,7 +42,7 @@ pub struct AdaBanOptions {
 
 impl AdaBanOptions {
     /// Options with the paper's default configuration and the given ε.
-    pub fn with_epsilon(epsilon: Ratio) -> Self {
+    pub fn with_epsilon(epsilon: Rational) -> Self {
         AdaBanOptions {
             epsilon,
             heuristic: PivotHeuristic::MostFrequent,
@@ -56,13 +56,13 @@ impl AdaBanOptions {
     /// # Panics
     /// Panics if the string is not a valid decimal.
     pub fn with_epsilon_str(epsilon: &str) -> Self {
-        AdaBanOptions::with_epsilon(Ratio::from_decimal_str(epsilon).expect("valid ε"))
+        AdaBanOptions::with_epsilon(Rational::from_decimal_str(epsilon).expect("valid ε"))
     }
 }
 
 impl Default for AdaBanOptions {
     fn default() -> Self {
-        AdaBanOptions::with_epsilon(Ratio::from_u64(1, 10))
+        AdaBanOptions::with_epsilon(Rational::new(1i64.into(), 10u64.into()))
     }
 }
 
@@ -91,8 +91,8 @@ impl ApproxInterval {
     /// `true` iff the relative-error condition `(1−ε)·upper ≤ (1+ε)·lower`
     /// holds, i.e. every value in `[(1−ε)·upper, (1+ε)·lower]` is an
     /// ε-approximation of the exact value (Prop. 16).
-    pub fn meets_epsilon(&self, epsilon: &Ratio) -> bool {
-        epsilon.error_condition_met(&self.lower, &self.upper)
+    pub fn meets_epsilon(&self, epsilon: &Rational) -> bool {
+        error_condition_met(epsilon, &self.lower, &self.upper)
     }
 
     /// Midpoint of the interval as `f64`, used as the point estimate when
@@ -112,6 +112,16 @@ impl ApproxInterval {
     pub fn certified_tie(&self, other: &ApproxInterval) -> bool {
         self.is_exact() && other.is_exact() && self.lower == other.lower
     }
+}
+
+/// Decides AdaBan's stopping condition `(1 − ε)·upper ≤ (1 + ε)·lower`
+/// exactly (Sec. 3.2.3 of the paper). With `ε = p/q`, multiplying by the
+/// positive `q` keeps everything in natural arithmetic:
+/// `(q − p)·upper ≤ (q + p)·lower`. For `ε ≥ 1` the left factor saturates at
+/// zero and the condition always holds. The sign of ε is ignored.
+fn error_condition_met(epsilon: &Rational, lower: &Natural, upper: &Natural) -> bool {
+    let (p, q) = (epsilon.numer().magnitude(), epsilon.denom());
+    q.saturating_sub(p).mul_ref(upper) <= (q + p).mul_ref(lower)
 }
 
 /// Runs AdaBan for a single variable on the given (typically un-expanded)
@@ -148,7 +158,7 @@ pub fn adaban(
             // Numerically impossible for sound bounds; normalize defensively.
             best_upper = best_lower.clone();
         }
-        if options.epsilon.error_condition_met(&best_lower, &best_upper) {
+        if error_condition_met(&options.epsilon, &best_lower, &best_upper) {
             return Ok(ApproxInterval::new(best_lower, best_upper));
         }
         // Not precise enough: expand the d-tree. With the lazy optimization we
@@ -215,6 +225,22 @@ mod tests {
             vec![v(4), v(0)],
             vec![v(1), v(3)],
         ])
+    }
+
+    #[test]
+    fn error_condition_examples_from_paper() {
+        let eps = |s: &str| Rational::from_decimal_str(s).unwrap();
+        // Example 14: Lb = 43, Ub = 136. eps = 0.5 is not sufficient,
+        // eps = 0.6 is sufficient.
+        let lower = Natural::from(43u64);
+        let upper = Natural::from(136u64);
+        assert!(!error_condition_met(&eps("0.5"), &lower, &upper));
+        assert!(error_condition_met(&eps("0.6"), &lower, &upper));
+        // With eps = 0 the condition only holds when lower == upper.
+        assert!(!error_condition_met(&Rational::zero(), &lower, &upper));
+        assert!(error_condition_met(&Rational::zero(), &upper, &upper));
+        // eps >= 1 always satisfies the condition.
+        assert!(error_condition_met(&Rational::one(), &Natural::zero(), &Natural::from(100u64)));
     }
 
     #[test]

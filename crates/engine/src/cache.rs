@@ -388,9 +388,10 @@ impl Prekeyed {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that found no entry — either a vacant fingerprint bucket (no
-    /// canonicalization performed) or a contested bucket whose residents all
-    /// keyed apart. An instance whose shape is compiled by an earlier
+    /// Lookups that found no entry — a vacant fingerprint bucket (no
+    /// canonicalization performed), a contested bucket whose residents all
+    /// keyed apart, or a contested bucket whose probe a drained shared
+    /// budget left unkeyed. An instance whose shape is compiled by an earlier
     /// instance of the *same batch* counts as a miss here (the shape was not
     /// cached when it was looked up) even though the session scores the
     /// shared work as a per-session hit.
@@ -413,7 +414,7 @@ pub struct CacheStats {
     /// traffic).
     pub prekey_skips: u64,
     /// Warm-start snapshot files loaded successfully (see
-    /// [`SharedCache::load`] / [`ShardedCache::load`]).
+    /// [`SharedCache::load`]).
     pub snapshot_loads: u64,
     /// Entries admitted from warm-start snapshots (excess entries beyond the
     /// capacity bound are dropped at load, not evicted later).
@@ -448,7 +449,8 @@ pub(crate) enum Lookup {
     Vacant,
     /// Residents share the fingerprint. Canonicalize (outside the lock!) the
     /// probe and any resident returned with `canon: None`, then settle the
-    /// lookup with [`SharedCache::finish_lookup`].
+    /// lookup with [`SharedCache::finish_lookup`] (or, if the probe could not
+    /// be keyed, [`SharedCache::abandon_lookup`]).
     Occupied(Vec<Resident>),
 }
 
@@ -499,16 +501,8 @@ struct CacheInner {
     /// describes. (They used to be separate relaxed atomics bumped after the
     /// lock was dropped, and a snapshot could observe a hit whose miss-side
     /// context was still unrecorded — hit-rate math briefly exceeding 1.0.)
-    hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
-    canon_steps: u64,
-    canon_searches: u64,
-    prekey_skips: u64,
-    snapshot_loads: u64,
-    snapshot_entries: u64,
-    snapshot_rejects: u64,
+    /// `entries` and `capacity` are filled in by [`SharedCache::stats`].
+    stats: CacheStats,
 }
 
 /// The shared, size-bounded attribution cache, keyed by fingerprint first
@@ -534,16 +528,7 @@ impl SharedCache {
                 recency: VecDeque::new(),
                 next_id: 0,
                 tick: 0,
-                hits: 0,
-                misses: 0,
-                insertions: 0,
-                evictions: 0,
-                canon_steps: 0,
-                canon_searches: 0,
-                prekey_skips: 0,
-                snapshot_loads: 0,
-                snapshot_entries: 0,
-                snapshot_rejects: 0,
+                stats: CacheStats::default(),
             }),
             capacity,
         }
@@ -575,7 +560,7 @@ impl SharedCache {
                 Lookup::Occupied(residents)
             }
             _ => {
-                inner.misses += 1;
+                inner.stats.misses += 1;
                 Lookup::Vacant
             }
         }
@@ -617,13 +602,20 @@ impl SharedCache {
                     canon: Arc::clone(entry.canon.as_ref().expect("matched on canon")),
                 };
                 inner.recency.push_back((id, tick));
-                inner.hits += 1;
+                inner.stats.hits += 1;
                 Self::compact(&mut inner);
                 return Some(hit);
             }
         }
-        inner.misses += 1;
+        inner.stats.misses += 1;
         None
+    }
+
+    /// Settles a contested lookup whose probe could not be keyed (a drained
+    /// or cancelled shared budget interrupted its canonicalization): the
+    /// shape is a definite miss, counted like any other.
+    pub(crate) fn abandon_lookup(&self) {
+        self.inner.lock().expect("cache lock poisoned").stats.misses += 1;
     }
 
     /// Merges one freshly computed dense attribution under its fingerprint,
@@ -692,7 +684,7 @@ impl SharedCache {
             inner.buckets.entry(fp).or_default().push(id);
             inner.recency.push_back((id, tick));
         }
-        inner.insertions += 1;
+        inner.stats.insertions += 1;
         while inner.entries.len() > self.capacity {
             let Some((victim, victim_tick)) = inner.recency.pop_front() else {
                 break;
@@ -706,7 +698,7 @@ impl SharedCache {
                         inner.buckets.remove(&entry.fingerprint);
                     }
                 }
-                inner.evictions += 1;
+                inner.stats.evictions += 1;
             }
         }
         Self::compact(&mut inner);
@@ -739,9 +731,9 @@ impl SharedCache {
     /// the end-to-end cost of the keying next to the hits it buys.
     pub(crate) fn record_canon(&self, steps: u64, searches: u64, skips: u64) {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
-        inner.canon_steps += steps;
-        inner.canon_searches += searches;
-        inner.prekey_skips += skips;
+        inner.stats.canon_steps += steps;
+        inner.stats.canon_searches += searches;
+        inner.stats.prekey_skips += skips;
     }
 
     /// Drops stale recency pairs once the queue outgrows the live entry set,
@@ -769,20 +761,7 @@ impl SharedCache {
     /// hit rate can never exceed 1.0.
     pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("cache lock poisoned");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            insertions: inner.insertions,
-            evictions: inner.evictions,
-            canon_steps: inner.canon_steps,
-            canon_searches: inner.canon_searches,
-            prekey_skips: inner.prekey_skips,
-            snapshot_loads: inner.snapshot_loads,
-            snapshot_entries: inner.snapshot_entries,
-            snapshot_rejects: inner.snapshot_rejects,
-            entries: inner.entries.len(),
-            capacity: self.capacity,
-        }
+        CacheStats { entries: inner.entries.len(), capacity: self.capacity, ..inner.stats }
     }
 
     /// Exports the resident entries for snapshotting, in insertion (entry-id)
@@ -841,19 +820,8 @@ impl SharedCache {
         );
         inner.buckets.entry(entry.fingerprint).or_default().push(id);
         inner.recency.push_back((id, tick));
-        inner.snapshot_entries += 1;
+        inner.stats.snapshot_entries += 1;
         true
-    }
-
-    /// Records the outcome of a snapshot-file load attempt against this
-    /// cache's counters.
-    pub(crate) fn record_snapshot_load(&self, ok: bool) {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
-        if ok {
-            inner.snapshot_loads += 1;
-        } else {
-            inner.snapshot_rejects += 1;
-        }
     }
 
     /// Writes the cache's resident entries to `path` in the versioned binary
@@ -865,22 +833,22 @@ impl SharedCache {
         crate::persist::save_entries(path.as_ref(), &self.export_entries())
     }
 
-    /// Loads a snapshot written by [`SharedCache::save`] (or
-    /// [`ShardedCache::save`]) into this cache, returning the number of
-    /// entries admitted. Corrupt, truncated, or version-mismatched files are
-    /// rejected with a typed [`SnapshotError`] — the cache is left exactly as
-    /// it was (a cold start), never partially loaded, and the rejection is
-    /// counted in [`CacheStats::snapshot_rejects`].
+    /// Loads a snapshot written by [`SharedCache::save`] into this cache,
+    /// returning the number of entries admitted. Corrupt, truncated, or
+    /// version-mismatched files are rejected with a typed [`SnapshotError`] —
+    /// the cache is left exactly as it was (a cold start), never partially
+    /// loaded, and the rejection is counted in
+    /// [`CacheStats::snapshot_rejects`].
     pub fn load(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
         let entries = match crate::persist::load_entries(path.as_ref()) {
             Ok(entries) => entries,
             Err(error) => {
-                self.record_snapshot_load(false);
+                self.inner.lock().expect("cache lock poisoned").stats.snapshot_rejects += 1;
                 return Err(error);
             }
         };
         let admitted = entries.into_iter().map(|e| self.admit(e)).filter(|&ok| ok).count();
-        self.record_snapshot_load(true);
+        self.inner.lock().expect("cache lock poisoned").stats.snapshot_loads += 1;
         Ok(admitted)
     }
 }
@@ -900,204 +868,6 @@ pub(crate) struct SnapshotEntry {
     pub(crate) shape: Arc<Shape>,
     pub(crate) canon: Option<Arc<CanonInfo>>,
     pub(crate) attribution: Arc<Attribution>,
-}
-
-impl CacheStats {
-    /// Accumulates another shard's counters into this aggregate (capacities
-    /// and entry counts sum alongside the event counters).
-    fn accumulate(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.insertions += other.insertions;
-        self.evictions += other.evictions;
-        self.canon_steps += other.canon_steps;
-        self.canon_searches += other.canon_searches;
-        self.prekey_skips += other.prekey_skips;
-        self.snapshot_loads += other.snapshot_loads;
-        self.snapshot_entries += other.snapshot_entries;
-        self.snapshot_rejects += other.snapshot_rejects;
-        self.entries += other.entries;
-        self.capacity += other.capacity;
-    }
-}
-
-/// N independently locked [`SharedCache`] shards behind one cache interface.
-///
-/// Entries are routed by a deterministic FNV-1a hash of their
-/// isomorphism-invariant fingerprint pre-key — every presentation of a lineage
-/// shape lands on the same shard (isomorphic lineages share a fingerprint),
-/// so sharding never changes *which* lookups hit, only which lock they take.
-/// The shard index is process-independent ([`ShardedCache::shard_of`]), so it
-/// doubles as the partition function for a multi-process fleet: each process
-/// can own a subset of shards instead of duplicating the whole cache.
-///
-/// The total capacity is split evenly (each shard holds
-/// `ceil(capacity / shards)` entries, LRU-evicted per shard), and snapshots
-/// ([`ShardedCache::save`] / [`ShardedCache::load`]) are shard-count
-/// independent: one file holds every entry, and loading re-routes each entry
-/// to whatever shard owns its fingerprint under the *current* shard count.
-pub struct ShardedCache {
-    shards: Vec<SharedCache>,
-}
-
-impl ShardedCache {
-    /// A cache of `shards` shards (at least 1) bounded to `capacity` entries
-    /// in total (each shard to its even share, at least 1).
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
-        ShardedCache { shards: (0..shards).map(|_| SharedCache::new(per_shard)).collect() }
-    }
-
-    /// The number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The total entry-count bound, summed across shards.
-    pub fn capacity(&self) -> usize {
-        self.shards.iter().map(SharedCache::capacity).sum()
-    }
-
-    /// The shard owning `fp`: FNV-1a over the fingerprint's raw fields, mod
-    /// the shard count. Deterministic across processes and runs — the fleet
-    /// partition function.
-    pub(crate) fn shard_index(&self, fp: Fingerprint) -> usize {
-        let (num_vars, num_clauses, widths, degrees, payload) = fp.raw_parts();
-        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
-        let mut eat = |bytes: &[u8]| {
-            for &byte in bytes {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
-        };
-        eat(&num_vars.to_le_bytes());
-        eat(&num_clauses.to_le_bytes());
-        eat(&widths.to_le_bytes());
-        eat(&degrees.to_le_bytes());
-        eat(&payload.to_le_bytes());
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    /// The shard that serves `lineage` (and every lineage isomorphic to it).
-    /// The serving layer reports this index per request so a fleet operator
-    /// can see which partition answered.
-    pub fn shard_of(&self, lineage: &Dnf) -> usize {
-        self.shard_index(Prekeyed::of(lineage).fingerprint)
-    }
-
-    fn shard(&self, fp: Fingerprint) -> &SharedCache {
-        &self.shards[self.shard_index(fp)]
-    }
-
-    /// Routed [`SharedCache::lookup`].
-    pub(crate) fn lookup(&self, fp: Fingerprint) -> Lookup {
-        self.shard(fp).lookup(fp)
-    }
-
-    /// Routed [`SharedCache::finish_lookup`].
-    pub(crate) fn finish_lookup(
-        &self,
-        fp: Fingerprint,
-        key: &CanonicalKey,
-        resolved: &[(u64, Arc<CanonInfo>)],
-    ) -> Option<CacheHit> {
-        self.shard(fp).finish_lookup(fp, key, resolved)
-    }
-
-    /// Routed [`SharedCache::insert`].
-    pub(crate) fn insert(
-        &self,
-        fp: Fingerprint,
-        shape: &Arc<Shape>,
-        canon: Option<Arc<CanonInfo>>,
-        attribution: Arc<Attribution>,
-    ) {
-        self.shard(fp).insert(fp, shape, canon, attribution);
-    }
-
-    /// Routed [`SharedCache::peek`].
-    pub(crate) fn peek(&self, fp: Fingerprint) -> Vec<Resident> {
-        self.shard(fp).peek(fp)
-    }
-
-    /// Records canonicalization telemetry. The work is engine-wide (one
-    /// session call spans many fingerprints), so it is recorded on shard 0
-    /// and reported through the aggregate [`ShardedCache::stats`].
-    pub(crate) fn record_canon(&self, steps: u64, searches: u64, skips: u64) {
-        self.shards[0].record_canon(steps, searches, skips);
-    }
-
-    /// Removes every entry from every shard (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.clear();
-        }
-    }
-
-    /// The aggregate counters: every field summed across shards (each
-    /// shard's snapshot is internally consistent; a miss and the hit that
-    /// follows it for the same shape always land on the same shard, so the
-    /// summed hit rate never exceeds 1.0 either).
-    pub fn stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for shard in &self.shards {
-            total.accumulate(&shard.stats());
-        }
-        total
-    }
-
-    /// Per-shard counter snapshots, in shard-index order. Hits, misses,
-    /// insertions, evictions, and occupancy are genuinely per-shard;
-    /// engine-wide telemetry (canonicalization work, snapshot-file loads and
-    /// rejects) is recorded on shard 0.
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
-        self.shards.iter().map(SharedCache::stats).collect()
-    }
-
-    /// Writes every shard's resident entries to one snapshot file (shard
-    /// order, then insertion order — deterministic). Returns the number of
-    /// entries written. The snapshot is shard-count independent: any engine
-    /// can load it, whatever its shard count.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
-        let mut entries = Vec::new();
-        for shard in &self.shards {
-            entries.extend(shard.export_entries());
-        }
-        crate::persist::save_entries(path.as_ref(), &entries)
-    }
-
-    /// Loads a snapshot, routing each entry to the shard that owns its
-    /// fingerprint under *this* cache's shard count. Returns the number of
-    /// entries admitted (a shard at capacity drops its excess). Corrupt or
-    /// version-mismatched files are rejected with a typed [`SnapshotError`],
-    /// counted in [`CacheStats::snapshot_rejects`], and leave every shard
-    /// untouched — a cold start, never a partial load.
-    pub fn load(&self, path: impl AsRef<std::path::Path>) -> Result<usize, SnapshotError> {
-        let entries = match crate::persist::load_entries(path.as_ref()) {
-            Ok(entries) => entries,
-            Err(error) => {
-                self.shards[0].record_snapshot_load(false);
-                return Err(error);
-            }
-        };
-        let admitted = entries
-            .into_iter()
-            .map(|e| self.shard(e.fingerprint).admit(e))
-            .filter(|&ok| ok)
-            .count();
-        self.shards[0].record_snapshot_load(true);
-        Ok(admitted)
-    }
-}
-
-impl fmt::Debug for ShardedCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedCache")
-            .field("shards", &self.shards.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
 }
 
 /// Computes the full canonical key of `lineage` — dense renaming,

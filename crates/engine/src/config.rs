@@ -3,7 +3,7 @@
 use crate::attributor::Attributor;
 use crate::registry::{backend, first_with, Precision};
 use banzhaf::{Budget, PivotHeuristic};
-use banzhaf_arith::Ratio;
+use banzhaf_arith::Rational;
 use banzhaf_par::ThreadPool;
 use std::fmt;
 use std::path::PathBuf;
@@ -158,8 +158,7 @@ impl FallbackPolicy {
 }
 
 /// Configuration of the engine's shared attribution cache: whether it is on,
-/// how many entries it holds, how many independently locked shards it is
-/// split across, and an optional warm-start snapshot path.
+/// how many entries it holds, and an optional warm-start snapshot path.
 ///
 /// Non-exhaustive by design, like [`crate::BatchOptions`]: construct with
 /// [`CacheConfig::new`] (or [`CacheConfig::disabled`]) and refine through the
@@ -170,9 +169,9 @@ impl FallbackPolicy {
 /// use banzhaf_engine::{CacheConfig, EngineConfig};
 ///
 /// let config = EngineConfig::default()
-///     .with_cache_config(CacheConfig::new().with_capacity(4096).with_shards(4));
+///     .with_cache_config(CacheConfig::new().with_capacity(4096));
 /// assert!(config.cache.enabled);
-/// assert_eq!(config.cache.shards, 4);
+/// assert_eq!(config.cache.capacity, 4096);
 /// ```
 #[derive(Clone, Debug)]
 #[non_exhaustive]
@@ -182,18 +181,11 @@ pub struct CacheConfig {
     /// ([`Algorithm::cacheable`]); the randomized Monte Carlo baseline always
     /// resamples.
     pub enabled: bool,
-    /// Total entry-count bound across all shards; least recently used shapes
-    /// are evicted beyond it (per shard — each shard is bounded to its share
-    /// `ceil(capacity / shards)`). The default (1024) keeps worst-case memory
+    /// Entry-count bound; least recently used shapes are evicted beyond it.
+    /// The default (1024) keeps worst-case memory
     /// modest while covering the repeated-shape rate of the synthetic corpora
     /// many times over.
     pub capacity: usize,
-    /// Number of independently locked cache shards (at least 1). Entries are
-    /// routed by a deterministic hash of their isomorphism-invariant
-    /// fingerprint, so the shard index doubles as the partition function for
-    /// a multi-process fleet. Results are bit-identical at every shard count;
-    /// more shards only cut lock contention (and partition eviction).
-    pub shards: usize,
     /// Warm-start snapshot path. When set, [`crate::Engine::new`] loads the
     /// snapshot (a corrupt or version-mismatched file is rejected with a
     /// typed error, counted in `snapshot_rejects`, and the engine starts
@@ -204,13 +196,13 @@ pub struct CacheConfig {
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig { enabled: true, capacity: 1024, shards: 1, warm_start: None }
+        CacheConfig { enabled: true, capacity: 1024, warm_start: None }
     }
 }
 
 impl CacheConfig {
-    /// The default cache configuration: enabled, 1024 entries, one shard, no
-    /// warm-start snapshot.
+    /// The default cache configuration: enabled, 1024 entries, no warm-start
+    /// snapshot.
     pub fn new() -> Self {
         CacheConfig::default()
     }
@@ -226,16 +218,9 @@ impl CacheConfig {
         self
     }
 
-    /// Bounds the cache to `capacity` entries in total (LRU eviction beyond).
+    /// Bounds the cache to `capacity` entries (LRU eviction beyond).
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Splits the cache across `shards` independently locked shards
-    /// (clamped to at least 1).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
         self
     }
 
@@ -263,7 +248,7 @@ pub struct EngineConfig {
     pub heuristic: PivotHeuristic,
     /// Relative error ε for the approximate algorithms. `None` requests the
     /// exact/certain mode (AdaBan with ε = 0, IchiBan's certain top-k).
-    pub epsilon: Option<Ratio>,
+    pub epsilon: Option<Rational>,
     /// Per-attribution wall-clock timeout (`None` = unbounded).
     pub timeout: Option<Duration>,
     /// Per-attribution cap on decomposition steps (`None` = unbounded).
@@ -276,8 +261,8 @@ pub struct EngineConfig {
     pub lazy_bounds: bool,
     /// AdaBan/IchiBan's tighter leaf bounds (optimization (4)).
     pub opt4: bool,
-    /// The shared attribution cache: enablement, capacity, shard count, and
-    /// warm-start snapshot (see [`CacheConfig`]). Replaces the old flat
+    /// The shared attribution cache: enablement, capacity and warm-start
+    /// snapshot (see [`CacheConfig`]). Replaces the old flat
     /// `cache: bool` / `cache_capacity: usize` knobs.
     pub cache: CacheConfig,
     /// Also compute exact Shapley values (exact backends only), reusing the
@@ -302,7 +287,7 @@ impl Default for EngineConfig {
         EngineConfig {
             algorithm: Algorithm::ExaBan,
             heuristic: PivotHeuristic::MostFrequent,
-            epsilon: Some(Ratio::from_u64(1, 10)),
+            epsilon: Some(Rational::new(1i64.into(), 10u64.into())),
             timeout: None,
             max_steps: None,
             mc_samples_per_var: 50,
@@ -334,7 +319,7 @@ impl EngineConfig {
     /// # Panics
     /// Panics if the string is not a valid decimal.
     pub fn with_epsilon_str(mut self, epsilon: &str) -> Self {
-        self.epsilon = Some(Ratio::from_decimal_str(epsilon).expect("valid ε"));
+        self.epsilon = Some(Rational::from_decimal_str(epsilon).expect("valid ε"));
         self
     }
 
@@ -362,8 +347,8 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the whole cache configuration (enablement, capacity, shards,
-    /// warm-start snapshot) in one call.
+    /// Sets the whole cache configuration (enablement, capacity, warm-start
+    /// snapshot) in one call.
     pub fn with_cache_config(mut self, cache: CacheConfig) -> Self {
         self.cache = cache;
         self
@@ -399,8 +384,8 @@ impl EngineConfig {
     }
 
     /// The configured ε, falling back to 0 (exact) in the certain mode.
-    pub fn epsilon_or_exact(&self) -> Ratio {
-        self.epsilon.clone().unwrap_or_else(Ratio::zero)
+    pub fn epsilon_or_exact(&self) -> Rational {
+        self.epsilon.clone().unwrap_or_else(Rational::zero)
     }
 
     /// Builds the [`Attributor`] this configuration describes, through the
@@ -419,10 +404,9 @@ mod tests {
     fn defaults_match_the_paper_headline_setting() {
         let config = EngineConfig::default();
         assert_eq!(config.algorithm, Algorithm::ExaBan);
-        assert_eq!(config.epsilon_or_exact(), Ratio::from_u64(1, 10));
+        assert_eq!(config.epsilon_or_exact(), Rational::new(1i64.into(), 10u64.into()));
         assert!(config.cache.enabled);
         assert_eq!(config.cache.capacity, 1024);
-        assert_eq!(config.cache.shards, 1);
         assert!(config.cache.warm_start.is_none());
         assert!(config.lazy_bounds && config.opt4);
     }
@@ -436,7 +420,7 @@ mod tests {
             .with_cache_config(CacheConfig::disabled())
             .with_shapley(true);
         assert_eq!(config.algorithm, Algorithm::AdaBan);
-        assert_eq!(config.epsilon_or_exact(), Ratio::from_u64(1, 4));
+        assert_eq!(config.epsilon_or_exact(), Rational::new(1i64.into(), 4u64.into()));
         assert_eq!(config.timeout, Some(Duration::from_millis(5)));
         assert!(!config.cache.enabled && config.include_shapley);
         // The certain mode drops ε entirely.
@@ -445,13 +429,9 @@ mod tests {
 
     #[test]
     fn cache_config_builders_compose() {
-        let cache = CacheConfig::new()
-            .with_capacity(16)
-            .with_shards(0) // clamped to 1
-            .with_shards(4)
-            .with_warm_start("/tmp/snapshot.bzc");
+        let cache = CacheConfig::new().with_capacity(16).with_warm_start("/tmp/snapshot.bzc");
         assert!(cache.enabled);
-        assert_eq!((cache.capacity, cache.shards), (16, 4));
+        assert_eq!(cache.capacity, 16);
         assert_eq!(cache.warm_start.as_deref(), Some(std::path::Path::new("/tmp/snapshot.bzc")));
         assert!(!CacheConfig::disabled().enabled);
         assert!(!CacheConfig::new().with_enabled(false).enabled);

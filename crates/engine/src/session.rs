@@ -3,7 +3,7 @@
 
 use crate::attribution::{Attribution, Degradation, DegradeReason, Ranked};
 use crate::attributor::Attributor;
-use crate::cache::{CacheStats, CanonInfo, Lookup, Prekeyed, Resident, Shape, ShardedCache};
+use crate::cache::{CacheStats, CanonInfo, Lookup, Prekeyed, Resident, Shape, SharedCache};
 use crate::canon::Fingerprint;
 use crate::config::{Algorithm, EngineConfig, FallbackPolicy, Rung};
 use crate::persist::SnapshotError;
@@ -46,9 +46,8 @@ pub struct Engine {
     config: EngineConfig,
     /// The cross-session attribution cache: shared by every session of this
     /// engine (and by clones of the engine, which keep pointing at the same
-    /// store), sharded by fingerprint hash, size-bounded with per-shard LRU
-    /// eviction.
-    cache: Arc<ShardedCache>,
+    /// store), size-bounded with LRU eviction.
+    cache: Arc<SharedCache>,
     /// Engine-global sample-stream allocator: sessions draw disjoint stream
     /// index ranges from it, so randomized backends never replay one
     /// another's samples (two sessions each counting from 0 with the same
@@ -64,7 +63,7 @@ pub struct Engine {
 /// Writes the warm-start snapshot back when the last engine clone drops.
 struct WarmStartGuard {
     path: PathBuf,
-    cache: Arc<ShardedCache>,
+    cache: Arc<SharedCache>,
 }
 
 impl Drop for WarmStartGuard {
@@ -82,17 +81,12 @@ impl fmt::Debug for WarmStartGuard {
     }
 }
 
-/// One consistent view of an engine's cache tier, from [`Engine::stats`]:
-/// the aggregate counters plus the per-shard breakdown.
+/// One consistent view of an engine's shared cache, from [`Engine::stats`].
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct EngineSnapshot {
-    /// Counters summed across every shard (`entries`/`capacity` included).
+    /// The cache's counters and occupancy.
     pub cache: CacheStats,
-    /// Per-shard counters, indexed by shard (length = number of shards).
-    /// Engine-wide telemetry — canonicalization costs, snapshot
-    /// loads/rejects — is recorded on shard 0.
-    pub shards: Vec<CacheStats>,
 }
 
 impl Engine {
@@ -105,7 +99,7 @@ impl Engine {
     /// back when the last clone of the engine drops (or on demand via
     /// [`Engine::save_cache`]).
     pub fn new(config: EngineConfig) -> Self {
-        let cache = Arc::new(ShardedCache::new(config.cache.shards, config.cache.capacity));
+        let cache = Arc::new(SharedCache::new(config.cache.capacity));
         let warm = config.cache.warm_start.clone().map(|path| {
             if path.exists() {
                 // Errors are recorded in `snapshot_rejects`; a missing or
@@ -128,25 +122,17 @@ impl Engine {
         self.config.attributor()
     }
 
-    /// The engine's shared cross-session cache tier.
-    pub fn shared_cache(&self) -> &Arc<ShardedCache> {
+    /// The engine's shared cross-session cache.
+    pub fn shared_cache(&self) -> &Arc<SharedCache> {
         &self.cache
     }
 
-    /// The shard that owns `lineage`'s cache entry — the fleet partition
-    /// function, stable across processes (serving layers report it per
-    /// request).
-    pub fn shard_of(&self, lineage: &Dnf) -> usize {
-        self.cache.shard_of(lineage)
-    }
-
-    /// One consistent snapshot of the cache tier: aggregate counters plus
-    /// the per-shard breakdown.
+    /// One consistent snapshot of the shared cache's counters.
     pub fn stats(&self) -> EngineSnapshot {
-        EngineSnapshot { cache: self.cache.stats(), shards: self.cache.shard_stats() }
+        EngineSnapshot { cache: self.cache.stats() }
     }
 
-    /// Writes the cache tier's warm-start snapshot to `path` on demand
+    /// Writes the shared cache's warm-start snapshot to `path` on demand
     /// (independent of the drop-time save wired through
     /// [`CacheConfig::warm_start`](crate::CacheConfig)). Returns the number
     /// of entries written.
@@ -307,9 +293,9 @@ pub struct Session {
     /// (ExaBan) rather than panicking, mirroring the fallback ladder's
     /// capability-driven rung selection.
     aggregate_attributor: Option<Box<dyn Attributor>>,
-    /// The engine-level shared cache tier: canonical lineage → attribution
-    /// over canonical variables, sharded by fingerprint hash.
-    cache: Arc<ShardedCache>,
+    /// The engine-level shared cache: canonical lineage → attribution over
+    /// canonical variables.
+    cache: Arc<SharedCache>,
     stats: SessionStats,
     /// The engine-global sample-stream allocator (randomized backends select
     /// their RNG streams from it; deterministic backends ignore it). Shared
@@ -328,12 +314,11 @@ impl Session {
         &self.stats
     }
 
-    /// One consistent snapshot of the *shared* cache tier (hits from every
+    /// One consistent snapshot of the *shared* cache (hits from every
     /// session of the engine, not just this one; see [`SessionStats`] for
-    /// the per-session view): aggregate counters plus the per-shard
-    /// breakdown.
+    /// the per-session view).
     pub fn engine_stats(&self) -> EngineSnapshot {
-        EngineSnapshot { cache: self.cache.stats(), shards: self.cache.shard_stats() }
+        EngineSnapshot { cache: self.cache.stats() }
     }
 
     /// Evaluates a UCQ over a database and attributes every answer, fanning
@@ -696,6 +681,10 @@ impl Session {
                             }
                         }
                         my_canon[i] = Some(mine);
+                    } else {
+                        // A drained budget left the probe unkeyed: a definite
+                        // miss, settled so hits + misses still counts it.
+                        self.cache.abandon_lookup();
                     }
                 }
             }
@@ -1288,6 +1277,25 @@ mod tests {
     }
 
     #[test]
+    fn a_lookup_interrupted_while_keying_counts_as_a_miss() {
+        // The cached shape contests the isomorph's fingerprint bucket, and
+        // the drained shared budget interrupts the isomorph's canonical
+        // search: the lookup must still settle, as a miss.
+        let engine = Engine::new(EngineConfig::default());
+        let mut session = engine.session();
+        session.attribute(&shifted_cycle(0)).unwrap();
+        let before = engine.stats().cache;
+        let drained = Budget::with_max_steps(0);
+        let isomorph = shifted_cycle(10);
+        let outcomes =
+            session.attribute_batch(&[&isomorph], BatchOptions::new().with_shared_budget(&drained));
+        assert!(outcomes[0].is_err());
+        let after = engine.stats().cache;
+        assert_eq!(after.hits + after.misses, before.hits + before.misses + 1);
+        assert_eq!(after.misses, before.misses + 1);
+    }
+
+    #[test]
     fn per_instance_step_caps_interrupt_identically_in_batch_and_loop() {
         // A step cap that lets the tiny lineages through but starves the
         // cycles; the Ok/Err pattern must match the sequential loop.
@@ -1557,44 +1565,6 @@ mod tests {
             assert_eq!(session.stats().canon_steps, sequential.stats().canon_steps);
             assert_eq!(session.stats().canon_searches, sequential.stats().canon_searches);
             assert_eq!(session.stats().prekey_skips, sequential.stats().prekey_skips);
-        }
-    }
-
-    #[test]
-    fn sharded_engines_are_bit_identical_to_single_shard() {
-        let lineages = mixed_batch();
-        let refs: Vec<&Dnf> = lineages.iter().collect();
-        let mut single = Engine::new(EngineConfig::default()).session();
-        let expected = single.attribute_batch(&refs, BatchOptions::default());
-        for shards in [2usize, 4] {
-            for threads in [1usize, 2] {
-                let engine = Engine::new(
-                    EngineConfig::default()
-                        .with_cache_config(CacheConfig::new().with_shards(shards))
-                        .with_threads(threads),
-                );
-                assert_eq!(engine.shared_cache().num_shards(), shards);
-                let mut session = engine.session();
-                let got = session.attribute_batch(&refs, BatchOptions::default());
-                for (want, have) in expected.iter().zip(&got) {
-                    let (want, have) = (want.as_ref().unwrap(), have.as_ref().unwrap());
-                    assert_eq!(
-                        want.exact_values().unwrap(),
-                        have.exact_values().unwrap(),
-                        "shards={shards} threads={threads}"
-                    );
-                    assert_eq!(want.model_count, have.model_count);
-                    assert_eq!(want.stats.cache_hit, have.stats.cache_hit);
-                    assert_eq!(want.stats.compile_steps, have.stats.compile_steps);
-                }
-                assert_eq!(session.stats().cache_hits, single.stats().cache_hits);
-                // The aggregate view sums the shards; hits + misses add up
-                // across the breakdown exactly as in the single-shard run.
-                let snapshot = engine.stats();
-                assert_eq!(snapshot.shards.len(), shards);
-                let summed: u64 = snapshot.shards.iter().map(|s| s.hits).sum();
-                assert_eq!(snapshot.cache.hits, summed);
-            }
         }
     }
 

@@ -67,8 +67,7 @@ pub mod prelude {
         Algorithm, AnswerAttribution, AnswerChange, Attribution, Attributor, BatchOptions,
         CacheConfig, CacheStats, Degradation, DegradeReason, Engine, EngineConfig, EngineSnapshot,
         EngineStats, FallbackPolicy, LiveSession, LiveStats, QueryAttribution, Ranked, Rung, Score,
-        Session, SessionStats, ShardedCache, SharedCache, SnapshotError, TouchedAnswer,
-        UpdateReport,
+        Session, SessionStats, SharedCache, SnapshotError, TouchedAnswer, UpdateReport,
     };
     pub use banzhaf_serve::{
         block_on, join_all, AttributionService, Rejected, RequestOptions, RetryPolicy, ServeConfig,
@@ -81,7 +80,7 @@ pub mod prelude {
         shapley_all, AdaBanOptions, ApproxInterval, BanzhafResult, Budget, DTree, IchiBanOptions,
         Interrupted, PivotHeuristic, Ranking, ShapleyValue, TopK,
     };
-    pub use banzhaf_arith::{Int, Natural, Ratio, Rational};
+    pub use banzhaf_arith::{Int, Natural, Rational};
     pub use banzhaf_baselines::{cnf_proxy, mc_banzhaf, mc_banzhaf_par, sig22_exact, McOptions};
     pub use banzhaf_boolean::{AggregateKind, Assignment, Clause, Dnf, Var, VarSet, WeightedDnf};
     pub use banzhaf_db::{Database, Fact, FactId, Provenance, Update, Value};

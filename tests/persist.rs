@@ -1,7 +1,6 @@
-//! Persistence and sharding integration tests: warm-start snapshots round
-//! trip through a fresh engine bit-identically, corrupted snapshots are
-//! rejected loudly and degrade to a cold start, and sharded runs match
-//! single-shard runs bit for bit.
+//! Persistence integration tests: warm-start snapshots round trip through a
+//! fresh engine bit-identically, and corrupted snapshots are rejected loudly
+//! and degrade to a cold start.
 
 use banzhaf_repro::prelude::*;
 use proptest::prelude::*;
@@ -104,42 +103,6 @@ proptest! {
         // The warm session scored exactly one hit per request.
         prop_assert_eq!(warm.stats().cache_hits, phis.len() as u64);
     }
-
-    /// Sharded (N >= 2) and single-shard runs are bit-identical at thread
-    /// counts 1 and 2, and the per-shard stats sum to the aggregate.
-    #[test]
-    fn sharded_runs_match_single_shard_bit_for_bit(
-        phis in proptest::collection::vec(small_dnf(), 1..=6),
-    ) {
-        let refs: Vec<&Dnf> = phis.iter().collect();
-        let mut single = Engine::new(EngineConfig::default()).session();
-        let expected = single.attribute_batch(&refs, BatchOptions::default());
-        for shards in [2usize, 3] {
-            for threads in [1usize, 2] {
-                let engine = Engine::new(
-                    EngineConfig::default()
-                        .with_cache_config(CacheConfig::new().with_shards(shards))
-                        .with_threads(threads),
-                );
-                let mut session = engine.session();
-                let got = session.attribute_batch(&refs, BatchOptions::default());
-                for (want, have) in expected.iter().zip(&got) {
-                    let (want, have) = (want.as_ref().unwrap(), have.as_ref().unwrap());
-                    prop_assert_eq!(want.exact_values().unwrap(), have.exact_values().unwrap());
-                    prop_assert_eq!(&want.model_count, &have.model_count);
-                    prop_assert_eq!(want.stats.cache_hit, have.stats.cache_hit);
-                    prop_assert_eq!(want.stats.compile_steps, have.stats.compile_steps);
-                }
-                let snapshot = engine.stats();
-                prop_assert_eq!(snapshot.shards.len(), shards);
-                let hits: u64 = snapshot.shards.iter().map(|s| s.hits).sum();
-                let entries: usize = snapshot.shards.iter().map(|s| s.entries).sum();
-                prop_assert_eq!(snapshot.cache.hits, hits);
-                prop_assert_eq!(snapshot.cache.entries, entries);
-                prop_assert_eq!(session.stats().cache_hits, single.stats().cache_hits);
-            }
-        }
-    }
 }
 
 /// Writes a good snapshot of a small warmed engine to `path` and returns the
@@ -237,68 +200,29 @@ fn garbage_tails_and_bit_flips_are_rejected_and_degrade_to_cold() {
 }
 
 #[test]
-fn snapshots_are_shard_count_independent() {
-    // A snapshot written by a single-shard engine loads into a sharded one
-    // (and vice versa): entries are re-routed by fingerprint at load time.
-    let scratch = Scratch::new("shardmove");
-    let phis: Vec<Dnf> = (0..4u32)
-        .map(|o| {
-            Dnf::from_clauses(vec![
-                vec![Var(o * 10), Var(o * 10 + 1)],
-                vec![Var(o * 10 + 1), Var(o * 10 + 2)],
-                vec![Var(o * 10 + 2), Var(o * 10 + 3)],
-            ])
-        })
-        .collect();
-    let single = Engine::new(EngineConfig::default());
-    let mut session = single.session();
-    let expected: Vec<Attribution> = phis.iter().map(|p| session.attribute(p).unwrap()).collect();
-    single.save_cache(&scratch.path).unwrap();
-
-    let sharded = Engine::new(
-        EngineConfig::default()
-            .with_cache_config(CacheConfig::new().with_shards(3).with_warm_start(&scratch.path)),
-    );
-    assert_eq!(sharded.stats().cache.snapshot_loads, 1);
-    let mut warm = sharded.session();
-    for (phi, want) in phis.iter().zip(&expected) {
-        let have = warm.attribute(phi).unwrap();
-        assert!(have.stats.cache_hit);
-        assert_eq!(want.exact_values().unwrap(), have.exact_values().unwrap());
-        // The serving shard is reportable and stable.
-        let shard = sharded.shard_of(phi);
-        assert!(shard < 3);
-        assert_eq!(shard, sharded.shard_of(phi));
-    }
-}
-
-#[test]
-fn service_reports_shards_and_snapshot_counters() {
+fn service_reports_snapshot_counters() {
     use banzhaf_repro::serve::{
         block_on, join_all, AttributionService, RequestOptions, ServeConfig,
     };
     let scratch = Scratch::new("service");
     write_good_snapshot(&scratch.path);
-    let service =
-        AttributionService::start(
-            ServeConfig::new(EngineConfig::default().with_cache_config(
-                CacheConfig::new().with_shards(2).with_warm_start(&scratch.path),
-            ))
-            .with_workers(2),
-        );
+    let service = AttributionService::start(
+        ServeConfig::new(
+            EngineConfig::default()
+                .with_cache_config(CacheConfig::new().with_warm_start(&scratch.path)),
+        )
+        .with_workers(2),
+    );
     let phi = Dnf::from_clauses(vec![vec![Var(5), Var(6)], vec![Var(6), Var(7)]]);
-    let shard = service.shard_of(&phi);
-    assert!(shard < 2);
     let tickets: Vec<_> =
         (0..2).map(|_| service.submit(phi.clone(), RequestOptions::default()).unwrap()).collect();
     for outcome in block_on(join_all(tickets)) {
         outcome.expect("unbounded budget");
     }
-    let stats = service.stats();
-    assert_eq!(stats.shards, 2);
+    let stats = service.engine_stats().cache;
     assert_eq!(stats.snapshot_loads, 1);
     assert!(stats.snapshot_entries > 0);
     assert_eq!(stats.snapshot_rejects, 0);
     // The isomorph of the snapshotted shape is served from the snapshot.
-    assert!(service.engine_stats().cache.hits >= 1);
+    assert!(stats.hits >= 1);
 }
